@@ -159,7 +159,7 @@ _INT_FIELDS = {"epochs", "t_attack", "local_iters", "adversary_count",
                "classes", "feature_dim", "samples_per_node",
                "classes_per_node", "test_samples", "seed", "seeds", "n"}
 _FLOAT_FIELDS = {"alpha", "epsilon", "epsilon_scale", "adversary_fraction",
-                 "graph_param", "spread"}
+                 "graph_param", "spread", "failures.p_node", "failures.p_link"}
 
 
 def _coerce(key: str, value: Any, problems: list[str]) -> Any:
@@ -213,15 +213,16 @@ def parse_config_data(raw: Any, *, default_name: str = "experiment") -> Experime
             if "setting" in failures:
                 failure_setting = failures["setting"]
             elif "p_node" in failures or "p_link" in failures:
-                pair = (float(failures.get("p_node", 0.0)),
-                        float(failures.get("p_link", 0.0)))
+                pair = tuple(_coerce(f"failures.{key}",
+                                     failures.get(key, 0.0), problems)
+                             for key in ("p_node", "p_link"))
                 named = {v: k for k, v in FAILURE_SETTINGS.items()}
-                if pair not in named:
+                if pair in named:
+                    failure_setting = named[pair]
+                elif None not in pair:  # a bad value is reported already
                     problems.append(
                         f"failures.p_node/p_link {pair} do not match a named "
                         f"setting; use one of {sorted(FAILURE_SETTINGS)}")
-                else:
-                    failure_setting = named[pair]
         else:
             problems.append("section 'failures' must be a mapping or a name")
     if failure_setting not in FAILURE_SETTINGS:

@@ -153,9 +153,9 @@ def partition(dataset: Dataset, n_nodes: int, classes_per_node: int,
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def loss_and_grad(model: Model, data: Dataset) -> tuple[float, np.ndarray]:
@@ -194,6 +194,90 @@ def predict(model: Model, features: np.ndarray) -> np.ndarray:
 
 def accuracy(model: Model, data: Dataset) -> float:
     return float(np.mean(predict(model, data.features) == data.labels))
+
+
+# Batched kernels over flat models stacked as (..., n, p) arrays. Row for
+# row they give the same bits as loss_and_grad, fgsm_poison and accuracy on
+# one Model: each row's products are the same BLAS calls, and padded shard
+# rows hold zero features and a zero output gradient, so they add exact
+# zeros to every sum.
+
+@dataclass(frozen=True, eq=False)
+class ShardBatch:
+    """Per-node shards zero-padded to one (n, m, dim) feature tensor.
+
+    onehot (n, m, C) holds the labels, mask (n, m, 1) is 1.0 on real rows
+    and 0.0 on padding, and counts (n, 1, 1) is each shard's sample count.
+    """
+
+    features: np.ndarray
+    onehot: np.ndarray
+    mask: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def stack(cls, shards: list[Dataset], n_classes: int) -> "ShardBatch":
+        m = max(s.n_samples for s in shards)
+        n, dim = len(shards), shards[0].features.shape[1]
+        features = np.zeros((n, m, dim))
+        onehot = np.zeros((n, m, n_classes))
+        mask = np.zeros((n, m, 1))
+        for i, s in enumerate(shards):
+            features[i, :s.n_samples] = s.features
+            onehot[i, np.arange(s.n_samples), s.labels] = 1.0
+            mask[i, :s.n_samples] = 1.0
+        return cls(features, onehot, mask, mask.sum(axis=1, keepdims=True))
+
+    def take(self, rows) -> "ShardBatch":
+        return ShardBatch(self.features[rows], self.onehot[rows],
+                          self.mask[rows], self.counts[rows])
+
+
+def _unflatten(x: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weight (..., C, dim) and bias (..., C) views of flat models."""
+    n_classes = x.shape[-1] // (dim + 1)
+    w = x[..., :n_classes * dim].reshape(x.shape[:-1] + (n_classes, dim))
+    return w, x[..., n_classes * dim:]
+
+
+def _output_grad(x: np.ndarray, batch: ShardBatch, features: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled cross-entropy gradient at the logits, zero on padded rows,
+    plus the weight views of x."""
+    w, b = _unflatten(x, features.shape[-1])
+    probs = _softmax(features @ w.swapaxes(-1, -2) + b[..., None, :])
+    return (probs - batch.onehot) * batch.mask, w
+
+
+def batch_grads(x: np.ndarray, batch: ShardBatch,
+                features: np.ndarray | None = None) -> np.ndarray:
+    """loss_and_grad's gradient for each stacked model x (..., n, p) on its
+    own shard; `features` (a poisoned copy) replaces the batch's."""
+    f = batch.features if features is None else features
+    dz, _ = _output_grad(x, batch, f)
+    dz /= batch.counts
+    grad_w = dz.swapaxes(-1, -2) @ f
+    n_w = grad_w.shape[-2] * grad_w.shape[-1]
+    return np.concatenate([grad_w.reshape(x.shape[:-1] + (n_w,)),
+                           dz.sum(axis=-2)], axis=-1)
+
+
+def batch_poisoned_grads(x: np.ndarray, batch: ShardBatch,
+                         epsilon: float) -> np.ndarray:
+    """loss_and_grad of each stacked model on fgsm_poison of its shard."""
+    dz, w = _output_grad(x, batch, batch.features)
+    poisoned = batch.features + epsilon * np.sign((dz @ w) / batch.counts)
+    return batch_grads(x, batch, poisoned)
+
+
+def batch_accuracy(x: np.ndarray, data: Dataset) -> np.ndarray:
+    """accuracy of each flat model x (k, p) on data, from one gemm."""
+    dim = data.features.shape[1]
+    w, b = _unflatten(x, dim)
+    logits = (data.features @ w.reshape(-1, dim).T).reshape(
+        (-1,) + w.shape[:2])
+    logits += b
+    return (logits.argmax(axis=-1) == data.labels[:, None]).mean(axis=0)
 
 
 def train_centralized(data: Dataset, n_classes: int, alpha: float = 0.5,

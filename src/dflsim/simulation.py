@@ -5,39 +5,33 @@ snapshot. Honest nodes mix in-neighbor models (self term included so the
 mixing weights are row-stochastic) and maintain a gradient-tracker vector;
 adversarial nodes, once the attack epoch passes, ignore their neighbors
 and descend on an FGSM-poisoned copy of their own shard.
+
+One `Simulation` advances an attacked run and its adversary-free twin as
+(replica, node, parameter) stacks. The twins agree through t_attack, so
+that prefix is one replica; at t_attack + 1 it splits into two (attacked,
+baseline) and the failure event removes the same nodes from both.
+`honest_step` and `adversary_step` are the per-node reference rules.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import learning
 from .graphs import EmptyGraphError, Graph, GraphFamily, apply_failures
-from .learning import Dataset, Model, fgsm_poison, loss_and_grad, model_dim
+from .learning import (Dataset, Model, ShardBatch, batch_accuracy,
+                       batch_grads, batch_poisoned_grads, fgsm_poison,
+                       loss_and_grad, model_dim)
 from .metrics import EpochMetrics
 from .placement import HoppingParams, place
 
 GRAPH_FAMILIES = ("er", "dg", "pa")
 
-HONEST = "honest"
-ADVERSARY = "adversary"
-
 
 class SimulationError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class NodeState:
-    """Per-node view of the engine state at one epoch."""
-
-    model: Model
-    tracker: np.ndarray
-    shard: Dataset
-    role: str
-    epsilon: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -144,13 +138,32 @@ def adversary_step(x_prev_i: np.ndarray, shard: Dataset, n_classes: int,
     return x, tracker
 
 
-class Simulation:
-    """State and epoch loop for one run (attacked or adversary-free)."""
+def _slot_table(sets: Sequence[tuple[int, ...]]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row mixing sets as a zero-padded (slot, row) index table, its
+    (slot, row, 1) validity mask and the set sizes as a (row, 1) column."""
+    sizes = np.array([len(s) for s in sets])
+    idx = np.array([s + (0,) * (sizes.max() - len(s)) for s in sets]).T
+    valid = np.arange(len(idx))[:, None, None] < sizes[:, None]
+    return idx, valid, sizes[:, None].astype(float)
 
-    def __init__(self, cfg: SimulationConfig, attacked: bool = True,
-                 graph: Optional[Graph] = None):
+
+def _mix(v: np.ndarray, table) -> np.ndarray:
+    """Row-stochastic mix of a replica stack v (R, n, p). Each row sums its
+    set slot by slot, in set order, then divides by the set size: the same
+    bits as `v[r][set].mean(axis=0)`."""
+    idx, valid, sizes = table
+    acc = v[:, idx[0]]
+    for j in range(1, len(idx)):
+        np.add(acc, v[:, idx[j]], out=acc, where=valid[j])
+    return acc / sizes
+
+
+class Simulation:
+    """An attacked run and its adversary-free twin, as one replica stack."""
+
+    def __init__(self, cfg: SimulationConfig, graph: Optional[Graph] = None):
         self.cfg = cfg
-        self.attacked = attacked
         streams = seed_streams(cfg.seed)
         self.graph = graph if graph is not None else build_graph(
             cfg, streams["graph"])
@@ -167,126 +180,110 @@ class Simulation:
                                                test_per_class, cfg.spread,
                                                streams["test"])
 
-        # The placement is computed from the same stream in both variants;
-        # the baseline keeps those nodes honest but still leaves them out
-        # of the accuracy average, so the two traces are comparable
-        # node-for-node (and identical until the attack actually fires).
-        self.roles = np.array([HONEST] * cfg.n, dtype=object)
+        # Placed nodes act as adversaries only in the attacked replica, but
+        # both twins leave them out of the accuracy average, so the traces
+        # are comparable node-for-node (and identical until the attack).
         self.counted = np.ones(cfg.n, dtype=bool)
+        self.adversaries = None
         if cfg.n_advs > 0:
-            selection = place(self.graph, cfg.strategy, cfg.n_advs,
-                              streams["placement"], hopping=cfg.hopping)
-            self.adversaries = selection
-            for v in selection.members:
-                self.counted[v] = False
-                if attacked:
-                    self.roles[v] = ADVERSARY
-        else:
-            self.adversaries = None
+            self.adversaries = place(self.graph, cfg.strategy, cfg.n_advs,
+                                     streams["placement"], hopping=cfg.hopping)
+            self.counted[list(self.adversaries.members)] = False
         self._failure_rng = streams["failures"]
-        self._failures_applied = False
+        self._build_tables()
 
-        p = model_dim(cfg.classes, cfg.feature_dim)
-        n = cfg.n
-        self.X = np.zeros((n, p))
-        self.G = np.stack([self._clean_grad(i, self.X[i]) for i in range(n)])
+        self.batch = ShardBatch.stack(self.shards, cfg.classes)
+        self.X = np.zeros((1, cfg.n, model_dim(cfg.classes, cfg.feature_dim)))
+        self.G = batch_grads(self.X, self.batch)
         self.Y = self.G.copy()
 
-    # -- helpers ------------------------------------------------------- #
-
-    def _clean_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        model = Model.from_flat(x, self.cfg.classes, self.cfg.feature_dim)
-        return loss_and_grad(model, self.shards[i])[1]
-
-    def node_states(self) -> list[NodeState]:
-        cfg = self.cfg
-        eps = cfg.effective_epsilon
-        return [NodeState(model=Model.from_flat(self.X[i], cfg.classes,
-                                                cfg.feature_dim),
-                          tracker=self.Y[i], shard=self.shards[i],
-                          role=str(self.roles[i]),
-                          epsilon=eps if self.roles[i] == ADVERSARY else 0.0)
-                for i in range(self.graph.n)]
-
-    def honest_mask(self) -> np.ndarray:
-        return self.roles == HONEST
+    @property
+    def attacking(self) -> bool:
+        """Whether the state has split: replica 0 is then the attacked run."""
+        return len(self.X) == 2
 
     def consensus_error(self) -> float:
-        mean = self.X.mean(axis=0)
-        return float(np.max(np.linalg.norm(self.X - mean, axis=1)))
+        """Largest distance of a model from the mean, in the attacked run."""
+        x = self.X[0]
+        return float(np.max(np.linalg.norm(x - x.mean(axis=0), axis=1)))
 
-    def _measure(self, epoch: int) -> EpochMetrics:
-        cfg = self.cfg
-        honest = np.nonzero(self.counted & self.honest_mask())[0]
-        if len(honest) == 0:
-            raise SimulationError("no honest nodes left to measure")
-        accs = [learning.accuracy(
-            Model.from_flat(self.X[i], cfg.classes, cfg.feature_dim),
-            self.test_set) for i in honest]
-        return EpochMetrics(epoch=epoch, accuracy=float(np.mean(accs)),
-                            n_honest_alive=len(honest))
+    def _build_tables(self) -> None:
+        g = self.graph
+        self._x_table = _slot_table([g.in_neighbors[i] + (i,)
+                                     for i in range(g.n)])
+        self._y_table = (self._x_table if self.cfg.tracker_mixing == "in_self"
+                         else _slot_table([g.out_neighbors[i] or (i,)
+                                           for i in range(g.n)]))
 
-    def _apply_failures(self) -> None:
+    def _split(self) -> None:
+        """Start the attack: duplicate the shared state into the attacked
+        and baseline replicas (when adversaries can tell them apart), then
+        fire the one-shot failure event on both."""
         cfg = self.cfg
+        if cfg.n_advs > 0:
+            self.X, self.Y, self.G = (np.concatenate([a, a])
+                                      for a in (self.X, self.Y, self.G))
         if cfg.p_node_fail == 0 and cfg.p_link_fail == 0:
             return
         try:
-            new_graph, index_map = apply_failures(
+            self.graph, index_map = apply_failures(
                 self.graph, cfg.p_node_fail, cfg.p_link_fail,
                 self._failure_rng)
         except EmptyGraphError as exc:
             raise SimulationError("network failure removed every node") from exc
-        survivors = sorted(index_map, key=index_map.get)
-        self.graph = new_graph
-        self.X = self.X[survivors]
-        self.Y = self.Y[survivors]
-        self.G = self.G[survivors]
-        self.shards = [self.shards[v] for v in survivors]
-        self.roles = self.roles[survivors]
-        self.counted = self.counted[survivors]
-
-    # -- epoch loop ---------------------------------------------------- #
+        keep = list(index_map)  # survivors, ascending
+        self.X, self.Y, self.G = (a[:, keep] for a in (self.X, self.Y, self.G))
+        self.shards = [self.shards[v] for v in keep]
+        self.batch = self.batch.take(keep)
+        self.counted = self.counted[keep]
+        self._build_tables()
 
     def _advance(self, epoch: int) -> None:
+        """One synchronous epoch of every replica from the current state."""
         cfg = self.cfg
-        attacking = self.attacked and epoch > cfg.t_attack
-        if epoch == cfg.t_attack + 1 and not self._failures_applied:
-            # the one-shot failure event fires when the attack switches on
-            self._apply_failures()
-            self._failures_applied = True
-        g = self.graph
-        n = g.n
-        x_prev, y_prev, g_prev = self.X, self.Y, self.G
-        x_new = np.empty_like(x_prev)
-        y_new = np.empty_like(y_prev)
-        g_new = np.empty_like(g_prev)
-        eps = cfg.effective_epsilon
-        for i in range(n):
-            if attacking and self.roles[i] == ADVERSARY:
-                xi = x_prev[i]
-                for _ in range(cfg.local_iters):
-                    xi, yi = adversary_step(xi, self.shards[i], cfg.classes,
-                                            cfg.feature_dim, cfg.alpha, eps)
-                x_new[i], y_new[i] = xi, yi
-                g_new[i] = yi
-            else:
-                grad_fn = lambda x, i=i: self._clean_grad(i, x)
-                xi, yi = honest_step(i, g, x_prev, y_prev, cfg.alpha,
-                                     grad_fn, g_prev[i], cfg.tracker_mixing)
-                for _ in range(cfg.local_iters - 1):
-                    g_old = self._clean_grad(i, xi)
-                    xi = xi - cfg.alpha * g_old
-                    yi = yi + self._clean_grad(i, xi) - g_old
-                x_new[i], y_new[i] = xi, yi
-                g_new[i] = self._clean_grad(i, xi)
-        self.X, self.Y, self.G = x_new, y_new, g_new
+        x = _mix(self.X, self._x_table) - cfg.alpha * self.Y
+        y_mixed = _mix(self.Y, self._y_table)
+        g = batch_grads(x, self.batch)
+        y = y_mixed + g - self.G
+        for _ in range(cfg.local_iters - 1):
+            g_old = g
+            x = x - cfg.alpha * g_old
+            g = batch_grads(x, self.batch)
+            y = y + g - g_old
+        if self.attacking:  # adversary_step, local_iters times
+            adv = ~self.counted
+            shards, eps = self.batch.take(adv), cfg.effective_epsilon
+            xa = self.X[0, adv]
+            ya = batch_poisoned_grads(xa, shards, eps)
+            for _ in range(cfg.local_iters):
+                xa = xa - cfg.alpha * ya
+                ya = batch_poisoned_grads(xa, shards, eps)
+            x[0, adv], y[0, adv], g[0, adv] = xa, ya, ya
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise SimulationError(f"non-finite model state at epoch {epoch}")
+        self.X, self.Y, self.G = x, y, g
 
-    def run(self) -> list[EpochMetrics]:
-        trace = [self._measure(0)]
-        for epoch in range(1, self.cfg.epochs + 1):
-            self._advance(epoch)
-            trace.append(self._measure(epoch))
-        return trace
+    def _measure(self, epoch: int) -> list[EpochMetrics]:
+        """Mean test accuracy of the counted nodes, one entry per replica."""
+        k = int(self.counted.sum())
+        if k == 0:
+            raise SimulationError("no honest nodes left to measure")
+        accs = [batch_accuracy(x[self.counted], self.test_set) for x in self.X]
+        return [EpochMetrics(epoch=epoch, accuracy=float(np.mean(a)),
+                             n_honest_alive=k) for a in accs]
+
+    def run(self) -> tuple[list[EpochMetrics], list[EpochMetrics]]:
+        """Every epoch 0..cfg.epochs; returns (attacked, baseline) traces."""
+        attacked, baseline = [], []
+        for epoch in range(self.cfg.epochs + 1):
+            if epoch == self.cfg.t_attack + 1:
+                self._split()
+            if epoch:
+                self._advance(epoch)
+            metrics = self._measure(epoch)
+            attacked.append(metrics[0])
+            baseline.append(metrics[-1])
+        return attacked, baseline
 
 
 def run_simulation(cfg: SimulationConfig,
@@ -299,6 +296,4 @@ def run_simulation(cfg: SimulationConfig,
     epochs 0 (initial models) through cfg.epochs; adversaries act, and the
     failure event fires, from epoch t_attack + 1 onward.
     """
-    attacked = Simulation(cfg, attacked=True, graph=graph).run()
-    baseline = Simulation(cfg, attacked=False, graph=graph).run()
-    return attacked, baseline
+    return Simulation(cfg, graph=graph).run()

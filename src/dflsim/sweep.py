@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .config import ExperimentSpec, SweepCell
+from .config import ConfigError, ExperimentSpec, SweepCell
 from .graphs import load_graph, save_graph
 from .metrics import compute_aal
 from .simulation import SimulationConfig, build_graph, run_simulation, seed_streams
@@ -56,9 +56,13 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     if workers is not None:
         return max(1, workers)
     env = os.environ.get(WORKERS_ENV)
-    if env:
+    if not env:
+        return 1
+    try:
         return max(1, int(env))
-    return 1
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, "
+                          f"got {env!r}") from None
 
 
 def graph_cache_key(cfg: SimulationConfig) -> str:

@@ -129,7 +129,9 @@ class BoundResult:
     alpha^2 (||a||^2 - ||h||^2); the corrected form's rt_rhs is the mean of
     alpha^2 (||a|| - ||h||)^2 (see the module docstring). Each margin is
     the mean per-trial lhs - rhs, stderr its standard error, and a form
-    passes when its margin >= -3 stderr.
+    passes when its margin >= -3 stderr. unbound_steps counts the adversary
+    steps, over all trials, at which the floor did not bind; a row with any
+    lies outside both forms' hypotheses.
     """
 
     scenario_id: str
@@ -149,12 +151,20 @@ class BoundResult:
     rt_margin: float
     rt_stderr: float
     rt_passed: bool
+    unbound_steps: int
+
+    @property
+    def in_hypothesis(self) -> bool:
+        """A row outside the hypotheses is no counterexample to either form."""
+        return self.unbound_steps == 0
 
 
 def _bound_trials(scenario: BoundScenario, trials: int,
                   rng: np.random.Generator
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-trial (lhs, adversary-term, honest-term) samples."""
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-trial (lhs, adversary-term, honest-term) samples, plus per trial
+    the number of adversary steps at which the floor did not bind (some
+    coordinate of the attacked gradient already above delta)."""
     g = scenario.graph
     n, p = g.n, scenario.dim
     d = check_regular_symmetric(g)
@@ -163,7 +173,9 @@ def _bound_trials(scenario: BoundScenario, trials: int,
     adv = np.array(sorted(scenario.adversaries), dtype=int)
     adv_mask = np.zeros(n, dtype=bool)
     adv_mask[adv] = True
+    hon_mask = ~adv_mask
     v = eigenvector_centrality(g)
+    v_adv, v_hon = v[adv_mask, None], v[hon_mask, None]
     targets = scenario.targets()
     alpha = scenario.alpha
     delta = scenario.delta_min
@@ -171,6 +183,7 @@ def _bound_trials(scenario: BoundScenario, trials: int,
     lhs = np.empty(trials)
     adv_term = np.empty(trials)
     hon_term = np.empty(trials)
+    unbound = np.empty(trials, dtype=int)
     for trial in range(trials):
         batches = rng.integers(0, scenario.n_samples,
                                size=(scenario.horizon + 1, n,
@@ -179,21 +192,24 @@ def _bound_trials(scenario: BoundScenario, trials: int,
         x_hon = np.zeros((n, p))
         s_adv = np.zeros(p)
         s_hon = np.zeros(p)
+        g_adv = []  # the adversaries' gradients before the floor
         for step in range(scenario.horizon + 1):
             batch_means = np.take_along_axis(
                 targets, batches[step][:, :, None], axis=1).mean(axis=1)
             g_att = x_att - batch_means
             g_hon = x_hon - batch_means
-            g_att[adv_mask] = np.maximum(g_att[adv_mask], delta)
-            s_adv += (v[adv_mask, None] * (delta - g_hon[adv_mask])).sum(axis=0)
-            s_hon += (v[~adv_mask, None]
-                      * (g_att[~adv_mask] - g_hon[~adv_mask])).sum(axis=0)
+            g_adv.append(g_att[adv_mask])
+            g_att[adv_mask] = np.maximum(g_adv[-1], delta)
+            s_adv += (v_adv * (delta - g_hon[adv_mask])).sum(axis=0)
+            s_hon += (v_hon * (g_att[hon_mask] - g_hon[hon_mask])).sum(axis=0)
             x_att = m @ x_att - alpha * g_att
             x_hon = m @ x_hon - alpha * g_hon
         lhs[trial] = np.sum((x_att - x_hon) ** 2)
         adv_term[trial] = alpha ** 2 * np.sum(s_adv ** 2)
         hon_term[trial] = alpha ** 2 * np.sum(s_hon ** 2)
-    return lhs, adv_term, hon_term
+        unbound[trial] = np.count_nonzero(
+            (np.array(g_adv) > delta).any(axis=-1))
+    return lhs, adv_term, hon_term, unbound
 
 
 def lower_bound_sides(scenario: BoundScenario, trials: int,
@@ -207,7 +223,7 @@ def lower_bound_sides(scenario: BoundScenario, trials: int,
     lhs >= alpha^2 (||a|| - ||h||)^2 is guaranteed; verify_lower_bound
     reports both.
     """
-    lhs, adv_term, hon_term = _bound_trials(scenario, trials, rng)
+    lhs, adv_term, hon_term, _ = _bound_trials(scenario, trials, rng)
     return float(lhs.mean()), float(adv_term.mean() - hon_term.mean())
 
 
@@ -224,7 +240,7 @@ def verify_lower_bound(scenarios: Sequence[BoundScenario], trials: int,
     """
     results = []
     for scenario in scenarios:
-        lhs, adv_term, hon_term = _bound_trials(scenario, trials, rng)
+        lhs, adv_term, hon_term, unbound = _bound_trials(scenario, trials, rng)
         margin, stderr = _mean_and_stderr(lhs - adv_term + hon_term)
         rt_rhs = (np.sqrt(adv_term) - np.sqrt(hon_term)) ** 2
         rt_margin, rt_stderr = _mean_and_stderr(lhs - rt_rhs)
@@ -238,7 +254,8 @@ def verify_lower_bound(scenarios: Sequence[BoundScenario], trials: int,
             rhs=float(adv_term.mean() - hon_term.mean()),
             margin=margin, stderr=stderr, passed=margin >= -3.0 * stderr,
             rt_rhs=float(rt_rhs.mean()), rt_margin=rt_margin,
-            rt_stderr=rt_stderr, rt_passed=rt_margin >= -3.0 * rt_stderr))
+            rt_stderr=rt_stderr, rt_passed=rt_margin >= -3.0 * rt_stderr,
+            unbound_steps=int(unbound.sum())))
     return results
 
 

@@ -109,8 +109,8 @@ def test_criterion_1_honest_convergence():
                                classes=5, feature_dim=8, samples_per_node=40,
                                classes_per_node=5, test_samples=250,
                                seed=seed)
-        sim = Simulation(cfg, attacked=True)
-        trace = sim.run()
+        sim = Simulation(cfg)
+        trace, _ = sim.run()
         worst_consensus = max(worst_consensus, sim.consensus_error())
         pooled = Dataset(
             features=np.concatenate([s.features for s in sim.shards]),

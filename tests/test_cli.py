@@ -204,6 +204,35 @@ class TestCliVerbs:
         assert main(["run", str(config)]) == 0
         assert (out / "summary.csv").exists()
 
+    def test_run_bad_failure_probability_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "bad.yaml"
+        config.write_text(f"name: bad\noutput_dir: {tmp_path / 'out'}\n"
+                          "failures: {p_node: abc}\n")
+        assert main(["run", str(config)]) == 2
+        assert "failures.p_node" in capsys.readouterr().err
+
+    def test_run_bad_workers_env_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DFLSIM_WORKERS", "abc")
+        config = tmp_path / "tiny.yaml"
+        config.write_text(TINY_CONFIG.format(out=tmp_path / "out"))
+        assert main(["run", str(config)]) == 2
+        assert "DFLSIM_WORKERS" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_cell_lands_in_failures(self, tmp_path):
+        # an overflowing attack makes NaN models; the cell must fail
+        # loudly instead of being scored
+        config = tmp_path / "huge.yaml"
+        config.write_text(TINY_CONFIG.format(out=tmp_path / "out")
+                          .replace("epsilon: 500", "epsilon: 1e200")
+                          .replace("  seed: [1, 2]", "  seed: [1]"))
+        assert main(["run", str(config)]) == 1
+        failures = read_csv(tmp_path / "out" / "failures.csv")
+        assert len(failures) == 2
+        assert all("SimulationError" in f["error"]
+                   and "non-finite" in f["error"] for f in failures)
+        assert read_csv(tmp_path / "out" / "summary.csv") == []
+
     def test_run_bad_config_exit_2(self, tmp_path):
         config = tmp_path / "bad.yaml"
         config.write_text("name: bad\nstrategy: nope\n")
@@ -231,9 +260,23 @@ class TestCliVerbs:
                                 "delta_min", "alpha", "T", "trials", "lhs",
                                 "rhs", "margin", "stderr", "pass",
                                 "rt_rhs", "rt_margin", "rt_stderr",
-                                "rt_pass"}
+                                "rt_pass", "unbound_steps"}
         assert all(r["pass"] == "true" for r in rows)
         assert all(r["rt_pass"] == "true" for r in rows)
+        assert all(r["unbound_steps"] == "0" for r in rows)
+
+    def test_verify_lemma_never_binding_floor_is_out_of_hypothesis(
+            self, tmp_path, capsys):
+        # a floor below every gradient never binds: the rows are reported
+        # outside the lemma's hypotheses, not as failures of the bound
+        config = tmp_path / "lemma.yaml"
+        config.write_text("horizon: 2\ntrials: 10\nn_advs: [1, 2]\n"
+                          "delta_min: [-50.0]\n")
+        report = tmp_path / "report.csv"
+        assert main(["verify-lemma", str(config), "-o", str(report)]) == 0
+        rows = read_csv(report)
+        assert [int(r["unbound_steps"]) for r in rows] == [30, 60]
+        assert capsys.readouterr().out.count("out-of-hypothesis") == 4
 
     def test_verify_lemma_bad_config_exit_2(self, tmp_path):
         config = tmp_path / "lemma.yaml"

@@ -4,8 +4,6 @@ import pytest
 from dflsim.graphs import complete_graph, gen_directed_geometric, graph_from_edges
 from dflsim.learning import Dataset, Model, fgsm_poison, loss_and_grad
 from dflsim.simulation import (
-    ADVERSARY,
-    HONEST,
     Simulation,
     SimulationConfig,
     SimulationError,
@@ -196,29 +194,32 @@ class TestRunSimulation:
                                  alternative="greater").pvalue < 0.05
 
     def test_epoch_update_is_pure_function_of_snapshot(self):
-        # recompute one engine epoch by hand, iterating nodes in reverse
-        # order: results must match exactly (snapshot semantics)
+        # recompute one engine epoch by hand for every replica, iterating
+        # nodes in reverse order: results must match (snapshot semantics)
         cfg = SimulationConfig(n_advs=2, epsilon=400, seed=5, **TINY)
-        sim = Simulation(cfg, attacked=True)
+        sim = Simulation(cfg)
         for epoch in range(1, cfg.t_attack + 3):
+            if epoch == cfg.t_attack + 1:
+                sim._split()
             x_prev, y_prev, g_prev = (sim.X.copy(), sim.Y.copy(),
                                       sim.G.copy())
-            roles = sim.roles.copy()
             sim._advance(epoch)
-            attacking = epoch > cfg.t_attack
-            for i in reversed(range(cfg.n)):
-                if attacking and roles[i] == ADVERSARY:
-                    xi, yi = adversary_step(
-                        x_prev[i], sim.shards[i], cfg.classes,
-                        cfg.feature_dim, cfg.alpha, cfg.effective_epsilon)
-                else:
-                    grad_fn = lambda x, i=i: loss_and_grad(
-                        Model.from_flat(x, cfg.classes, cfg.feature_dim),
-                        sim.shards[i])[1]
-                    xi, yi = honest_step(i, sim.graph, x_prev, y_prev,
-                                         cfg.alpha, grad_fn, g_prev[i])
-                assert np.allclose(sim.X[i], xi, atol=1e-12)
-                assert np.allclose(sim.Y[i], yi, atol=1e-12)
+            for r in range(len(x_prev)):
+                for i in reversed(range(cfg.n)):
+                    if sim.attacking and r == 0 and not sim.counted[i]:
+                        xi, yi = adversary_step(
+                            x_prev[r, i], sim.shards[i], cfg.classes,
+                            cfg.feature_dim, cfg.alpha,
+                            cfg.effective_epsilon)
+                    else:
+                        grad_fn = lambda x, i=i: loss_and_grad(
+                            Model.from_flat(x, cfg.classes, cfg.feature_dim),
+                            sim.shards[i])[1]
+                        xi, yi = honest_step(i, sim.graph, x_prev[r],
+                                             y_prev[r], cfg.alpha, grad_fn,
+                                             g_prev[r, i])
+                    assert np.allclose(sim.X[r, i], xi, atol=1e-12)
+                    assert np.allclose(sim.Y[r, i], yi, atol=1e-12)
 
     def test_failures_reduce_population(self):
         cfg = SimulationConfig(n_advs=2, epsilon=400, seed=4,
@@ -247,18 +248,30 @@ class TestRunSimulation:
         a2, _ = run_simulation(cfg)
         assert [m.accuracy for m in a1] == [m.accuracy for m in a2]
 
-    def test_node_state_views(self):
+    def test_replica_roles_and_counted_masks(self):
+        # one shared replica through t_attack, then attacked + baseline;
+        # both twins leave the placed nodes out of the accuracy average
         cfg = SimulationConfig(n_advs=2, seed=8, **TINY)
-        sim = Simulation(cfg, attacked=True)
-        states = sim.node_states()
-        assert len(states) == cfg.n
-        assert sum(s.role == ADVERSARY for s in states) == 2
-        for s in states:
-            assert s.tracker.shape == s.model.flat().shape
-            assert s.epsilon == (cfg.effective_epsilon
-                                 if s.role == ADVERSARY else 0.0)
-        honest_shard_sizes = sum(s.shard.n_samples for s in states)
-        assert honest_shard_sizes > 0
+        sim = Simulation(cfg)
+        p = cfg.classes * (cfg.feature_dim + 1)
+        assert sim.X.shape == sim.Y.shape == sim.G.shape == (1, cfg.n, p)
+        assert not sim.attacking
+        assert sorted(np.flatnonzero(~sim.counted)) == \
+            sorted(sim.adversaries.members)
+        assert sim.batch.counts.sum() == sum(s.n_samples for s in sim.shards)
+        sim._split()
+        assert sim.attacking and sim.X.shape == (2, cfg.n, p)
+        assert np.array_equal(sim.X[0], sim.X[1])
+        # without adversaries the twins never split
+        plain = Simulation(SimulationConfig(n_advs=0, seed=8, **TINY))
+        plain._split()
+        assert not plain.attacking and plain.counted.all()
+
+    def test_non_finite_state_is_simulation_error(self):
+        cfg = SimulationConfig(n_advs=2, epsilon=1e200, seed=2, **TINY)
+        with np.errstate(all="ignore"):
+            with pytest.raises(SimulationError, match="non-finite"):
+                run_simulation(cfg)
 
 
 class TestConfigValidation:

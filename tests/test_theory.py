@@ -95,11 +95,21 @@ class TestBoundSides:
         # so the distance and the honest drift term are exactly zero
         scenario = BoundScenario(graph=LADDER, adversaries=(0, 1),
                                  delta_min=-50.0)
-        lhs, adv_term, hon_term = _bound_trials(scenario, 30,
-                                                np.random.default_rng(1))
+        lhs, adv_term, hon_term, unbound = _bound_trials(
+            scenario, 30, np.random.default_rng(1))
         assert np.all(lhs == 0.0)
         assert np.all(hon_term == 0.0)
         assert np.all(adv_term > 0.0)  # the delta column never vanishes
+        # the floor never binds: every adversary step is outside the lemma
+        assert np.all(unbound == 2 * (scenario.horizon + 1))
+
+    def test_never_binding_floor_is_out_of_hypothesis_not_failed(self):
+        scenario = BoundScenario(graph=LADDER, adversaries=(0, 1),
+                                 delta_min=-50.0)
+        row, = verify_lower_bound([scenario], 30, np.random.default_rng(0))
+        assert not row.rt_passed  # the number alone looks like a failure
+        assert row.unbound_steps == 30 * 2 * (scenario.horizon + 1)
+        assert not row.in_hypothesis
 
     def test_deterministic_given_seed(self):
         scenario = BoundScenario(graph=LADDER, adversaries=(0,), delta_min=1.0)
@@ -151,7 +161,7 @@ class TestBoundSides:
         # mean, at the advertised horizon on the default grid
         rng = np.random.default_rng(0)
         for scenario in default_scenario_grid(horizon=20):
-            lhs, adv_term, hon_term = _bound_trials(scenario, 200, rng)
+            lhs, adv_term, hon_term, _ = _bound_trials(scenario, 200, rng)
             rt_rhs = (np.sqrt(adv_term) - np.sqrt(hon_term)) ** 2
             assert np.all(lhs >= rt_rhs * (1 - 1e-12)), scenario.scenario_id
 
@@ -160,6 +170,7 @@ class TestBoundSides:
                                   np.random.default_rng(0))
         assert all(r.rt_passed and r.rt_margin > 0 for r in rows)
         assert not any(r.passed for r in rows)
+        assert all(r.in_hypothesis for r in rows)
 
     def test_default_grid_shape(self):
         grid = default_scenario_grid()
