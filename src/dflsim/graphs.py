@@ -197,6 +197,51 @@ def geometric_edges(positions: np.ndarray, r: float) -> frozenset:
     return frozenset(zip(ii.tolist(), jj.tolist()))
 
 
+_DRAW_BATCH_CELLS = 1 << 14  # position draws per batch times n * n
+
+
+def _connected(close: np.ndarray) -> np.ndarray:
+    """For a (k, n, n) stack of symmetric adjacency masks with a true
+    diagonal: whether each graph is connected, by flooding from node 0."""
+    reach = close[:, 0]
+    while True:
+        grown = (reach[:, :, None] & close).any(axis=1)
+        if np.array_equal(grown, reach):
+            return reach.all(axis=1)
+        reach = grown
+
+
+def _first_connected_draw(n: int, r: float, rng: np.random.Generator,
+                          max_retries: int) -> Optional[np.ndarray]:
+    """The first of up to max_retries position draws rng.random((n, 2))
+    whose radius-r graph is connected, or None; rng is left as if the draws
+    had been made one at a time, up to that one.
+
+    Draws are tested in batches. Squared distances are dx**2 + dy**2, the
+    sum geometric_edges takes, so the same draw is accepted as by testing
+    each draw's Graph with is_strongly_connected (the links are symmetric,
+    so connected is strongly connected). A draw with an isolated node is
+    ruled out before the flood. A batch that holds the accepted draw is
+    redrawn up to it, from the state before the batch."""
+    batch = max(1, _DRAW_BATCH_CELLS // (n * n))
+    tried = 0
+    while tried < max_retries:
+        k = min(batch, max_retries - tried)
+        state = rng.bit_generator.state
+        pos = rng.random((k, n, 2))
+        x, y = pos[..., 0], pos[..., 1]
+        close = ((x[:, :, None] - x[:, None, :]) ** 2
+                 + (y[:, :, None] - y[:, None, :]) ** 2) < r * r
+        linked = np.flatnonzero((close.sum(axis=1) > 1).all(axis=1))
+        if len(linked):
+            hits = linked[_connected(close[linked])]
+            if len(hits):
+                rng.bit_generator.state = state
+                return rng.random((hits[0] + 1, n, 2))[-1]
+        tried += k
+    return None
+
+
 def gen_directed_geometric(n: int, r: float, rng: np.random.Generator, *,
                            require_strong_connectivity: bool = True,
                            max_retries: int = DEFAULT_RETRY_BUDGET) -> Graph:
@@ -209,12 +254,13 @@ def gen_directed_geometric(n: int, r: float, rng: np.random.Generator, *,
         raise ValueError(f"need n >= 2, got {n}")
     if not (0.0 < r <= math.sqrt(2.0)):
         raise ValueError(f"need 0 < r <= sqrt(2), got {r}")
-    for _ in range(max_retries):
+    if not require_strong_connectivity:
         pos = rng.random((n, 2))
-        g = Graph(n=n, edges=geometric_edges(pos, r),
-                  positions=tuple((float(x), float(y)) for x, y in pos))
-        if not require_strong_connectivity or is_strongly_connected(g):
-            return g
+    else:
+        pos = _first_connected_draw(n, r, rng, max_retries)
+    if pos is not None:
+        return Graph(n=n, edges=geometric_edges(pos, r),
+                     positions=tuple((float(x), float(y)) for x, y in pos))
     raise GenerationError(
         f"no strongly connected geometric graph (n={n}, r={r}) "
         f"in {max_retries} draws")
@@ -307,12 +353,13 @@ def eigenvector_centrality(g: Graph, tol: float = 1e-10,
     residual = math.inf
     for _ in range(max_iter):
         w = a @ v
-        norm = np.linalg.norm(w)
+        norm = math.sqrt(w.dot(w))  # np.linalg.norm's sum, without its checks
         if norm == 0:
             raise ConvergenceError("adjacency annihilated the iterate",
                                    residual=math.inf)
         w /= norm
-        residual = float(np.linalg.norm(w - v))
+        step = w - v
+        residual = math.sqrt(step.dot(step))
         v = w
         if residual < tol:
             return v

@@ -139,24 +139,24 @@ def adversary_step(x_prev_i: np.ndarray, shard: Dataset, n_classes: int,
 
 
 def _slot_table(sets: Sequence[tuple[int, ...]]
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row mixing sets as a zero-padded (slot, row) index table, its
-    (slot, row, 1) validity mask and the set sizes as a (row, 1) column."""
-    sizes = np.array([len(s) for s in sets])
-    idx = np.array([s + (0,) * (sizes.max() - len(s)) for s in sets]).T
-    valid = np.arange(len(idx))[:, None, None] < sizes[:, None]
-    return idx, valid, sizes[:, None].astype(float)
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row mixing sets as a (slot, row) index table, padded with index
+    n (the zero row `_mix` appends), and the set sizes as a (row, 1)
+    column."""
+    n, sizes = len(sets), np.array([len(s) for s in sets])
+    idx = np.array([s + (n,) * (sizes.max() - len(s)) for s in sets]).T
+    return idx, sizes[:, None].astype(float)
 
 
 def _mix(v: np.ndarray, table) -> np.ndarray:
     """Row-stochastic mix of a replica stack v (R, n, p). Each row sums its
-    set slot by slot, in set order, then divides by the set size: the same
-    bits as `v[r][set].mean(axis=0)`."""
-    idx, valid, sizes = table
-    acc = v[:, idx[0]]
-    for j in range(1, len(idx)):
-        np.add(acc, v[:, idx[j]], out=acc, where=valid[j])
-    return acc / sizes
+    set slot by slot, in set order, then divides by the set size: the
+    reduction np.mean makes, so the same bits as `v[r][set].mean(axis=0)`.
+    Padding slots add zeros."""
+    idx, sizes = table
+    r, _, p = v.shape
+    padded = np.concatenate([v, np.zeros((r, 1, p))], axis=1)
+    return np.add.reduce(padded[:, idx], axis=1) / sizes
 
 
 class Simulation:

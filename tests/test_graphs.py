@@ -130,6 +130,43 @@ class TestDirectedGeometric:
         assert g.positions is not None and len(g.positions) == 10
         assert all(0 <= x <= 1 and 0 <= y <= 1 for x, y in g.positions)
 
+    @staticmethod
+    def _one_draw_at_a_time(n, r, rng, max_retries):
+        """The rejection loop the batched sampler must reproduce."""
+        for _ in range(max_retries):
+            pos = rng.random((n, 2))
+            g = Graph(n=n, edges=geometric_edges(pos, r),
+                      positions=tuple((float(x), float(y)) for x, y in pos))
+            if is_strongly_connected(g):
+                return g
+        return None
+
+    @pytest.mark.parametrize("n,r,max_retries", [
+        (25, 0.2, 20_000), (12, 0.5, 20_000), (100, 0.2, 20_000),
+        (3, 0.05, 40), (25, 0.2, 1), (25, 0.2, 150)])
+    def test_batched_draws_match_one_at_a_time(self, n, r, max_retries):
+        # same accepted graph, or the same GenerationError, and the rng
+        # left where drawing one at a time leaves it
+        for seed in range(6):
+            ref_rng, rng = (np.random.default_rng(seed) for _ in range(2))
+            ref = self._one_draw_at_a_time(n, r, ref_rng, max_retries)
+            if ref is None:
+                with pytest.raises(GenerationError):
+                    gen_directed_geometric(n, r, rng, max_retries=max_retries)
+            else:
+                g = gen_directed_geometric(n, r, rng, max_retries=max_retries)
+                assert g.edges == ref.edges and g.positions == ref.positions
+            assert rng.random() == ref_rng.random()
+
+    def test_batched_draws_match_on_other_bit_generators(self):
+        for bits in (np.random.MT19937, np.random.Philox):
+            ref_rng, rng = (np.random.Generator(bits(4)) for _ in range(2))
+            for _ in range(3):  # one rng across several graphs
+                ref = self._one_draw_at_a_time(25, 0.2, ref_rng, 20_000)
+                g = gen_directed_geometric(25, 0.2, rng)
+                assert g.edges == ref.edges and g.positions == ref.positions
+            assert rng.random() == ref_rng.random()
+
 
 class TestPreferentialAttachment:
     def test_m0_one_is_tree(self):

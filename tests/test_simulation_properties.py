@@ -15,6 +15,7 @@ from dflsim.simulation import (
     SimulationConfig,
     SimulationError,
     _mix,
+    _slot_table,
     adversary_step,
     honest_step,
 )
@@ -121,6 +122,26 @@ def test_every_epoch_matches_per_node_oracle(cfg):
 
 def mixing_matrix(table, n):
     return _mix(np.eye(n)[None], table)[0]
+
+
+@PROPERTY
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=n,
+             max_size=n),
+    st.integers(0, 2 ** 32 - 1))))
+def test_mix_has_the_bits_of_each_set_mean(case):
+    # ragged sets, so padding slots are summed; signed zeros and
+    # magnitudes far apart, so another summation order shows
+    n, sets, seed = case
+    sets = [tuple(sorted(s)) for s in sets]
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((2, n, 5)) * 10.0 ** rng.integers(-20, 20,
+                                                            (2, n, 5))
+    v[rng.random((2, n, 5)) < 0.2] = -0.0
+    want = np.array([[v[r][list(s)].mean(axis=0) for s in sets]
+                     for r in range(2)])
+    assert _mix(v, _slot_table(sets)).tobytes() == want.tobytes()
 
 
 @PROPERTY
