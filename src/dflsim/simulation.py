@@ -140,23 +140,26 @@ def adversary_step(x_prev_i: np.ndarray, shard: Dataset, n_classes: int,
 
 def _slot_table(sets: Sequence[tuple[int, ...]]
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row mixing sets as a (slot, row) index table, padded with index
-    n (the zero row `_mix` appends), and the set sizes as a (row, 1)
-    column."""
+    """Mixing sets as a (slot, row) index table padded with index n (the
+    zero row `_mix` appends), and the set sizes as a (row, 1) column."""
     n, sizes = len(sets), np.array([len(s) for s in sets])
     idx = np.array([s + (n,) * (sizes.max() - len(s)) for s in sets]).T
     return idx, sizes[:, None].astype(float)
 
 
 def _mix(v: np.ndarray, table) -> np.ndarray:
-    """Row-stochastic mix of a replica stack v (R, n, p). Each row sums its
-    set slot by slot, in set order, then divides by the set size: the
-    reduction np.mean makes, so the same bits as `v[r][set].mean(axis=0)`.
-    Padding slots add zeros."""
+    """Row-stochastic mix of a replica stack v (R, n, p): each row sums its
+    set slot by slot, in set order, from +0.0 as np.mean's sum does, then
+    divides by the set size, giving the bits of `v[r][set].mean(axis=0)`.
+    Padding slots add zeros; temporaries stay the size of v."""
     idx, sizes = table
     r, _, p = v.shape
     padded = np.concatenate([v, np.zeros((r, 1, p))], axis=1)
-    return np.add.reduce(padded[:, idx], axis=1) / sizes
+    acc = padded[:, idx[0]] + 0.0  # np.add.reduce starts from +0.0
+    for j in idx[1:]:
+        acc += padded[:, j]
+    acc /= sizes
+    return acc
 
 
 class Simulation:
