@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -20,7 +21,8 @@ from .config import ConfigError, parse_config, parse_config_data
 from .plots import PlotError, plot_csv
 from .presets import PRESETS
 from .sweep import resolve_workers, run_experiment
-from .theory import BoundResult, complexity_probe, default_scenario_grid, verify_lower_bound
+from .theory import (AssumptionError, BoundResult, complexity_probe,
+                     default_scenario_grid, verify_lower_bound)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -57,6 +59,27 @@ def _cmd_plot(args) -> int:
     return EXIT_OK
 
 
+# Lemma-config keys: (type, default). The list-valued keys give one
+# scenario per value.
+_LEMMA_KEYS = {"n_advs": (int, [1, 2, 3]),
+               "delta_min": (float, [0.5, 1.0, 2.0]),
+               "horizon": (int, 20), "alpha": (float, 0.05), "dim": (int, 2),
+               "trials": (int, 200), "data_seed": (int, 0),
+               "rng_seed": (int, 0)}
+
+
+def _lemma_number(key: str, value, kind: type):
+    """value as kind: an int, or a finite float (integral for an int key)."""
+    if isinstance(value, float):
+        ok = math.isfinite(value) and (kind is float or value.is_integer())
+    else:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    if not ok:
+        expected = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}")
+    return kind(value)
+
+
 def _lemma_grid_from_config(path: str):
     """Lemma-verification config: optional YAML with grid overrides."""
     raw = {}
@@ -68,19 +91,31 @@ def _lemma_grid_from_config(path: str):
             raise ConfigError(f"could not read {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("lemma config must be a mapping")
-    allowed = {"n_advs", "delta_min", "horizon", "alpha", "dim", "trials",
-               "data_seed", "rng_seed"}
-    unknown = set(raw) - allowed
+    unknown = set(raw) - set(_LEMMA_KEYS)
     if unknown:
         raise ConfigError(f"unknown keys in lemma config: {sorted(unknown)}")
-    grid = default_scenario_grid(
-        n_advs_values=tuple(raw.get("n_advs", (1, 2, 3))),
-        delta_values=tuple(raw.get("delta_min", (0.5, 1.0, 2.0))),
-        horizon=int(raw.get("horizon", 20)),
-        alpha=float(raw.get("alpha", 0.05)),
-        dim=int(raw.get("dim", 2)),
-        data_seed=int(raw.get("data_seed", 0)))
-    return grid, int(raw.get("trials", 200)), int(raw.get("rng_seed", 0))
+    values = {}
+    for key, (kind, default) in _LEMMA_KEYS.items():
+        value = raw.get(key, default)
+        if not isinstance(default, list):
+            values[key] = _lemma_number(key, value, kind)
+        elif isinstance(value, list) and value:
+            values[key] = tuple(_lemma_number(key, v, kind) for v in value)
+        else:
+            raise ConfigError(f"{key}: expected a non-empty list, "
+                              f"got {value!r}")
+    for key, least in (("trials", 1), ("data_seed", 0), ("rng_seed", 0)):
+        if values[key] < least:
+            raise ConfigError(f"{key}: need at least {least}, "
+                              f"got {values[key]}")
+    try:
+        grid = default_scenario_grid(
+            n_advs_values=values["n_advs"], delta_values=values["delta_min"],
+            horizon=values["horizon"], alpha=values["alpha"],
+            dim=values["dim"], data_seed=values["data_seed"])
+    except AssumptionError as exc:
+        raise ConfigError(str(exc)) from exc
+    return grid, values["trials"], values["rng_seed"]
 
 
 def _write_bound_report(rows: list[BoundResult], path: Path) -> None:
@@ -127,6 +162,16 @@ def _cmd_verify_lemma(args) -> int:
 
 
 def _cmd_complexity_probe(args) -> int:
+    problem = None
+    if any(n < 2 for n in args.sizes):
+        problem = f"--sizes: every size must be at least 2, got {args.sizes}"
+    elif args.sizes != sorted(args.sizes):
+        problem = f"--sizes must be ascending, got {args.sizes}"
+    elif args.repeats < 1:
+        problem = f"--repeats must be at least 1, got {args.repeats}"
+    if problem:
+        print(f"config error: {problem}", file=sys.stderr)
+        return EXIT_CONFIG
     report = complexity_probe(args.sizes, n_adv_fraction=args.fraction,
                               repeats=args.repeats, seed=args.seed)
     for row in report.rows:

@@ -275,7 +275,7 @@ def batch_accuracy(x: np.ndarray, data: Dataset) -> np.ndarray:
     dim = data.features.shape[1]
     w, b = _unflatten(x, dim)
     logits = (data.features @ w.reshape(-1, dim).T).reshape(
-        (-1,) + w.shape[:2])
+        data.labels.shape + w.shape[:2])
     logits += b
     return (logits.argmax(axis=-1) == data.labels[:, None]).mean(axis=0)
 

@@ -6,15 +6,21 @@ mixing weights are row-stochastic) and maintain a gradient-tracker vector;
 adversarial nodes, once the attack epoch passes, ignore their neighbors
 and descend on an FGSM-poisoned copy of their own shard.
 
-One `Simulation` advances an attacked run and its adversary-free twin as
-(replica, node, parameter) stacks. The twins agree through t_attack, so
-that prefix is one replica; at t_attack + 1 it splits into two (attacked,
-baseline) and the failure event removes the same nodes from both.
-`honest_step` and `adversary_step` are the per-node reference rules.
+A placement is scored against the adversary-free run on the same network,
+data and failure event. That run does not depend on the placement, so it
+runs once per key (the config with the fields only the attack reads
+blanked, plus the graph) and is kept in a one-entry per-process memo:
+its state after the failure event at t_attack + 1, its final state, and
+every node's test accuracy at every epoch. Each placement then advances
+only its attacked run from there, as one (node, parameter) stack, and
+reads its baseline trace, and its attacked trace through t_attack, from
+the memoised accuracies. `honest_step` and `adversary_step` are the
+per-node reference rules.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -148,101 +154,62 @@ def _slot_table(sets: Sequence[tuple[int, ...]]
 
 
 def _mix(v: np.ndarray, table) -> np.ndarray:
-    """Row-stochastic mix of a replica stack v (R, n, p): each row sums its
-    set slot by slot, in set order, from +0.0 as np.mean's sum does, then
-    divides by the set size, giving the bits of `v[r][set].mean(axis=0)`.
+    """Row-stochastic mix of a stack v (..., n, p): each row sums its set
+    slot by slot, in set order, from +0.0 as np.mean's sum does, then
+    divides by the set size, giving the bits of `v[..., set, :].mean(-2)`.
     Padding slots add zeros; temporaries stay the size of v."""
     idx, sizes = table
-    r, _, p = v.shape
-    padded = np.concatenate([v, np.zeros((r, 1, p))], axis=1)
-    acc = padded[:, idx[0]] + 0.0  # np.add.reduce starts from +0.0
+    padded = np.concatenate([v, np.zeros_like(v[..., :1, :])], axis=-2)
+    acc = padded[..., idx[0], :] + 0.0  # np.add.reduce starts from +0.0
     for j in idx[1:]:
-        acc += padded[:, j]
+        acc += padded[..., j, :]
     acc /= sizes
     return acc
 
 
-class Simulation:
-    """An attacked run and its adversary-free twin, as one replica stack."""
+class Run:
+    """One training run on its current graph, as (node, parameter) stacks:
+    models X, trackers Y and the local gradients G the trackers last
+    added. `advance` replaces the stacks and never writes into them, so a
+    shallow copy of a run continues independently of it."""
 
-    def __init__(self, cfg: SimulationConfig, graph: Optional[Graph] = None):
-        self.cfg = cfg
-        streams = seed_streams(cfg.seed)
-        self.graph = graph if graph is not None else build_graph(
-            cfg, streams["graph"])
-        if self.graph.n != cfg.n:
-            raise SimulationError("provided graph size disagrees with config")
+    def __init__(self, cfg: SimulationConfig, graph: Graph, batch: ShardBatch,
+                 X: np.ndarray, Y: np.ndarray, G: np.ndarray):
+        self.cfg, self.graph, self.batch = cfg, graph, batch
+        self.X, self.Y, self.G = X, Y, G
+        self._x_table = _slot_table([graph.in_neighbors[i] + (i,)
+                                     for i in range(graph.n)])
+        self._y_table = (self._x_table if cfg.tracker_mixing == "in_self"
+                         else _slot_table([graph.out_neighbors[i] or (i,)
+                                           for i in range(graph.n)]))
 
-        per_class = max(1, round(cfg.n * cfg.samples_per_node / cfg.classes))
-        train = learning.synth_dataset(cfg.classes, cfg.feature_dim,
-                                       per_class, cfg.spread, streams["data"])
-        self.shards = learning.partition(train, cfg.n, cfg.classes_per_node,
-                                         streams["data"])
-        test_per_class = max(1, cfg.test_samples // cfg.classes)
-        self.test_set = learning.synth_dataset(cfg.classes, cfg.feature_dim,
-                                               test_per_class, cfg.spread,
-                                               streams["test"])
+    @classmethod
+    def start(cls, cfg: SimulationConfig, graph: Graph,
+              shards: list[Dataset]) -> "Run":
+        """Epoch 0: zero models, each tracker at its node's gradient."""
+        batch = ShardBatch.stack(shards, cfg.classes)
+        X = np.zeros((cfg.n, model_dim(cfg.classes, cfg.feature_dim)))
+        G = batch_grads(X, batch)
+        return cls(cfg, graph, batch, X, G.copy(), G)
 
-        # Placed nodes act as adversaries only in the attacked replica, but
-        # both twins leave them out of the accuracy average, so the traces
-        # are comparable node-for-node (and identical until the attack).
-        self.counted = np.ones(cfg.n, dtype=bool)
-        self.adversaries = None
-        if cfg.n_advs > 0:
-            self.adversaries = place(self.graph, cfg.strategy, cfg.n_advs,
-                                     streams["placement"], hopping=cfg.hopping)
-            self.counted[list(self.adversaries.members)] = False
-        self._failure_rng = streams["failures"]
-        self._build_tables()
-
-        self.batch = ShardBatch.stack(self.shards, cfg.classes)
-        self.X = np.zeros((1, cfg.n, model_dim(cfg.classes, cfg.feature_dim)))
-        self.G = batch_grads(self.X, self.batch)
-        self.Y = self.G.copy()
-
-    @property
-    def attacking(self) -> bool:
-        """Whether the state has split: replica 0 is then the attacked run."""
-        return len(self.X) == 2
-
-    def consensus_error(self) -> float:
-        """Largest distance of a model from the mean, in the attacked run."""
-        x = self.X[0]
-        return float(np.max(np.linalg.norm(x - x.mean(axis=0), axis=1)))
-
-    def _build_tables(self) -> None:
-        g = self.graph
-        self._x_table = _slot_table([g.in_neighbors[i] + (i,)
-                                     for i in range(g.n)])
-        self._y_table = (self._x_table if self.cfg.tracker_mixing == "in_self"
-                         else _slot_table([g.out_neighbors[i] or (i,)
-                                           for i in range(g.n)]))
-
-    def _split(self) -> None:
-        """Start the attack: duplicate the shared state into the attacked
-        and baseline replicas (when adversaries can tell them apart), then
-        fire the one-shot failure event on both."""
+    def fail(self, rng: np.random.Generator) -> tuple["Run", list[int]]:
+        """The run on the graph the one-shot failure event leaves, and the
+        surviving nodes (ascending)."""
         cfg = self.cfg
-        if cfg.n_advs > 0:
-            self.X, self.Y, self.G = (np.concatenate([a, a])
-                                      for a in (self.X, self.Y, self.G))
-        if cfg.p_node_fail == 0 and cfg.p_link_fail == 0:
-            return
         try:
-            self.graph, index_map = apply_failures(
-                self.graph, cfg.p_node_fail, cfg.p_link_fail,
-                self._failure_rng)
+            graph, index_map = apply_failures(
+                self.graph, cfg.p_node_fail, cfg.p_link_fail, rng)
         except EmptyGraphError as exc:
             raise SimulationError("network failure removed every node") from exc
-        keep = list(index_map)  # survivors, ascending
-        self.X, self.Y, self.G = (a[:, keep] for a in (self.X, self.Y, self.G))
-        self.shards = [self.shards[v] for v in keep]
-        self.batch = self.batch.take(keep)
-        self.counted = self.counted[keep]
-        self._build_tables()
+        keep = list(index_map)
+        return Run(cfg, graph, self.batch.take(keep),
+                   *(a[keep] for a in (self.X, self.Y, self.G))), keep
 
-    def _advance(self, epoch: int) -> None:
-        """One synchronous epoch of every replica from the current state."""
+    def advance(self, epoch: int, adv: Optional[np.ndarray] = None,
+                epsilon: float = 0.0) -> None:
+        """One synchronous epoch of every node from the current stacks;
+        the rows in mask `adv` take `adversary_step` at attack power
+        epsilon instead of `honest_step`."""
         cfg = self.cfg
         x = _mix(self.X, self._x_table) - cfg.alpha * self.Y
         y_mixed = _mix(self.Y, self._y_table)
@@ -253,40 +220,178 @@ class Simulation:
             x = x - cfg.alpha * g_old
             g = batch_grads(x, self.batch)
             y = y + g - g_old
-        if self.attacking:  # adversary_step, local_iters times
-            adv = ~self.counted
-            shards, eps = self.batch.take(adv), cfg.effective_epsilon
-            xa = self.X[0, adv]
-            ya = batch_poisoned_grads(xa, shards, eps)
+        if adv is not None:  # adversary_step, local_iters times
+            shards = self.batch.take(adv)
+            xa = self.X[adv]
+            ya = batch_poisoned_grads(xa, shards, epsilon)
             for _ in range(cfg.local_iters):
                 xa = xa - cfg.alpha * ya
-                ya = batch_poisoned_grads(xa, shards, eps)
-            x[0, adv], y[0, adv], g[0, adv] = xa, ya, ya
+                ya = batch_poisoned_grads(xa, shards, epsilon)
+            x[adv], y[adv], g[adv] = xa, ya, ya
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise SimulationError(f"non-finite model state at epoch {epoch}")
         self.X, self.Y, self.G = x, y, g
 
-    def _measure(self, epoch: int) -> list[EpochMetrics]:
-        """Mean test accuracy of the counted nodes, one entry per replica."""
-        k = int(self.counted.sum())
-        if k == 0:
-            raise SimulationError("no honest nodes left to measure")
-        accs = [batch_accuracy(x[self.counted], self.test_set) for x in self.X]
-        return [EpochMetrics(epoch=epoch, accuracy=float(np.mean(a)),
-                             n_honest_alive=k) for a in accs]
+    def consensus_error(self) -> float:
+        """Largest distance of a model from the mean model."""
+        return float(np.max(np.linalg.norm(self.X - self.X.mean(axis=0),
+                                           axis=1)))
+
+
+@dataclass(frozen=True, eq=False)
+class Baseline:
+    """The adversary-free run of a network, shared by all its placements.
+
+    `start` is the run right after the failure event at t_attack + 1 (the
+    survivors' rows of the state after epoch t_attack, on the graph the
+    event left), `end` the run after the last epoch, and `acc[e, i]` node
+    i's test accuracy at epoch e (NaN once i has failed). A run whose
+    epoch loop raised keeps the error, to be raised at epoch len(acc), and
+    whatever it reached before. Every array is read-only.
+    """
+
+    shards: list[Dataset]
+    test_set: Dataset
+    alive: np.ndarray
+    acc: np.ndarray
+    start: Optional[Run] = None
+    end: Optional[Run] = None
+    error: Optional[SimulationError] = None
+
+
+# the fields only the attack reads
+_ATTACK_BLANK = dict(strategy="", n_advs=0, epsilon=0.0, epsilon_scale=0.0,
+                     hopping=HoppingParams())
+
+
+def adversary_free(cfg: SimulationConfig) -> SimulationConfig:
+    """cfg with the attack's fields blanked: the config of the run every
+    placement of cfg's network is scored against."""
+    return replace(cfg, **_ATTACK_BLANK)
+
+
+def _run_adversary_free(cfg: SimulationConfig, graph: Graph) -> Baseline:
+    streams = seed_streams(cfg.seed)
+    per_class = max(1, round(cfg.n * cfg.samples_per_node / cfg.classes))
+    train = learning.synth_dataset(cfg.classes, cfg.feature_dim, per_class,
+                                   cfg.spread, streams["data"])
+    shards = learning.partition(train, cfg.n, cfg.classes_per_node,
+                                streams["data"])
+    test_per_class = max(1, cfg.test_samples // cfg.classes)
+    test_set = learning.synth_dataset(cfg.classes, cfg.feature_dim,
+                                      test_per_class, cfg.spread,
+                                      streams["test"])
+    run = Run.start(cfg, graph, shards)
+    acc = np.full((cfg.epochs + 1, cfg.n), np.nan)
+    alive = np.ones(cfg.n, dtype=bool)
+    start = end = error = None
+    try:
+        for epoch in range(cfg.epochs + 1):
+            if epoch == cfg.t_attack + 1:
+                if cfg.p_node_fail or cfg.p_link_fail:
+                    run, keep = run.fail(streams["failures"])
+                    alive[:] = False
+                    alive[keep] = True
+                start = copy.copy(run)
+            if epoch:
+                run.advance(epoch)
+            acc[epoch, alive] = batch_accuracy(run.X, test_set)
+        end = run
+    except SimulationError as exc:
+        acc, error = acc[:epoch], exc
+    arrays = [alive, acc, test_set.features, test_set.labels]
+    arrays += [a for s in shards for a in (s.features, s.labels)]
+    for r in (start, end):
+        if r is not None:
+            arrays += [r.X, r.Y, r.G, *vars(r.batch).values()]
+    for a in arrays:
+        a.flags.writeable = False
+    return Baseline(shards, test_set, alive, acc, start, end, error)
+
+
+# The latest adversary-free run, by key. Sweeps submit the cells that
+# share a run back to back, and a pool worker takes cells in submission
+# order, so each process meets a key's cells in one stretch: one entry
+# gets every reuse.
+_memo: dict[tuple[SimulationConfig, Graph], Baseline] = {}
+
+
+def adversary_free_run(cfg: SimulationConfig, graph: Graph) -> Baseline:
+    """The adversary-free run of cfg on graph, from the memo when the
+    latest run had the same key. A run whose epochs raised is not kept."""
+    key = (adversary_free(cfg), graph)
+    base = _memo.get(key)
+    if base is None:
+        base = _run_adversary_free(key[0], graph)
+        if base.error is None:
+            _memo.clear()
+            _memo[key] = base
+    return base
+
+
+def clear_memo() -> None:
+    """Forget every memoised adversary-free run."""
+    _memo.clear()
+
+
+def _metrics(epoch: int, accs: np.ndarray) -> EpochMetrics:
+    """The trace entry of one epoch from the counted nodes' accuracies."""
+    if len(accs) == 0:
+        raise SimulationError("no honest nodes left to measure")
+    return EpochMetrics(epoch=epoch, accuracy=float(np.mean(accs)),
+                        n_honest_alive=len(accs))
+
+
+class Simulation:
+    """A placement's attacked run and the adversary-free run it is scored
+    against, which every placement of the same network shares."""
+
+    def __init__(self, cfg: SimulationConfig, graph: Optional[Graph] = None):
+        self.cfg = cfg
+        streams = seed_streams(cfg.seed)
+        self.graph = graph if graph is not None else build_graph(
+            cfg, streams["graph"])
+        if self.graph.n != cfg.n:
+            raise SimulationError("provided graph size disagrees with config")
+        self.base = adversary_free_run(cfg, self.graph)
+
+        # Placed nodes act as adversaries only in the attacked run, but both
+        # traces leave them out of the accuracy average, so the traces are
+        # comparable node-for-node (and identical until the attack).
+        self.counted = np.ones(cfg.n, dtype=bool)
+        self.adversaries = None
+        if cfg.n_advs > 0:
+            self.adversaries = place(self.graph, cfg.strategy, cfg.n_advs,
+                                     streams["placement"], hopping=cfg.hopping)
+            self.counted[list(self.adversaries.members)] = False
+        self.final: Optional[Run] = None
 
     def run(self) -> tuple[list[EpochMetrics], list[EpochMetrics]]:
-        """Every epoch 0..cfg.epochs; returns (attacked, baseline) traces."""
-        attacked, baseline = [], []
-        for epoch in range(self.cfg.epochs + 1):
-            if epoch == self.cfg.t_attack + 1:
-                self._split()
-            if epoch:
-                self._advance(epoch)
-            metrics = self._measure(epoch)
-            attacked.append(metrics[0])
-            baseline.append(metrics[-1])
-        return attacked, baseline
+        """Every epoch 0..cfg.epochs; returns (attacked, baseline) traces.
+        The attacked run's last state is left in `final`."""
+        cfg, base, t = self.cfg, self.base, self.cfg.t_attack
+        if base.error is not None and len(base.acc) <= t + 1:
+            raise base.error  # before the attack, or the failure event
+        run, attacked = base.end, []
+        if self.adversaries is not None and t < cfg.epochs:
+            run = copy.copy(base.start)
+            adv = ~self.counted[base.alive]
+            for epoch in range(t + 1, cfg.epochs + 1):
+                if epoch == len(base.acc):
+                    raise base.error
+                run.advance(epoch, adv, cfg.effective_epsilon)
+                attacked.append(_metrics(epoch, batch_accuracy(
+                    run.X[~adv], base.test_set)))
+        if base.error is not None:
+            raise base.error
+        self.final = run
+        masks = ([self.counted] * (t + 1)
+                 + [self.counted & base.alive] * (cfg.epochs - t))
+        baseline = [_metrics(epoch, row[mask]) for epoch, (row, mask)
+                    in enumerate(zip(base.acc, masks))]
+        if not attacked:
+            return baseline, baseline
+        return baseline[:t + 1] + attacked, baseline
 
 
 def run_simulation(cfg: SimulationConfig,

@@ -3,8 +3,10 @@
 Each sweep cell runs one simulation (attacked plus its adversary-free
 twin) and writes two trace CSVs. Graphs are generated once per
 (family, param, n, seed) before dispatch and cached as edge-list files,
-so concurrent cells share them read-only. The summary is assembled by a
-single aggregator in deterministic cell order whatever the worker count.
+so concurrent cells share them read-only. Cells that share an
+adversary-free run are submitted back to back, so each process runs it
+once for them. The summary is assembled by a single aggregator in
+deterministic cell order whatever the worker count.
 """
 from __future__ import annotations
 
@@ -20,7 +22,8 @@ from typing import Optional
 from .config import ConfigError, ExperimentSpec, SweepCell
 from .graphs import load_graph, save_graph
 from .metrics import compute_aal
-from .simulation import SimulationConfig, build_graph, run_simulation, seed_streams
+from .simulation import (SimulationConfig, adversary_free, build_graph,
+                         run_simulation, seed_streams)
 
 WORKERS_ENV = "DFLSIM_WORKERS"
 
@@ -159,25 +162,27 @@ def run_experiment(spec: ExperimentSpec, output_dir: Optional[str] = None,
     graph_paths, graph_errors = _pregenerate_graphs(cells, graph_dir)
     n_workers = resolve_workers(workers)
 
-    jobs = []
-    skipped: dict[int, CellOutcome] = {}
+    done: dict[int, CellOutcome] = {}
+    groups: dict[SimulationConfig, list] = {}
     for idx, cell in enumerate(cells):
         key = graph_cache_key(cell.cfg)
         if key in graph_errors:
-            skipped[idx] = CellOutcome(run_id=cell.run_id,
-                                       error=graph_errors[key])
+            done[idx] = CellOutcome(run_id=cell.run_id,
+                                    error=graph_errors[key])
         else:
-            jobs.append((idx, (cell, str(out), str(graph_paths[key]))))
+            groups.setdefault(adversary_free(cell.cfg), []).append(
+                (idx, (cell, str(out), str(graph_paths[key]))))
+    jobs = [job for group in groups.values() for job in group]
     if n_workers == 1 or len(jobs) <= 1:
-        executed = [run_cell(*job) for _, job in jobs]
+        for idx, args in jobs:
+            done[idx] = run_cell(*args)
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(run_cell, *job) for _, job in jobs]
-            executed = [f.result() for f in futures]
-    outcomes: list[CellOutcome] = []
-    done = iter(executed)
-    for idx in range(len(cells)):
-        outcomes.append(skipped[idx] if idx in skipped else next(done))
+            futures = [(idx, pool.submit(run_cell, *args))
+                       for idx, args in jobs]
+            for idx, future in futures:
+                done[idx] = future.result()
+    outcomes = [done[idx] for idx in range(len(cells))]
 
     summary_rows = [o.summary_row for o in outcomes if o.summary_row]
     failures = [(o.run_id, o.error) for o in outcomes if o.error]

@@ -29,6 +29,7 @@ from dflsim.simulation import (
     Simulation,
     SimulationConfig,
     build_graph,
+    clear_memo,
     run_simulation,
     seed_streams,
 )
@@ -111,12 +112,12 @@ def test_criterion_1_honest_convergence():
                                seed=seed)
         sim = Simulation(cfg)
         trace, _ = sim.run()
-        worst_consensus = max(worst_consensus, sim.consensus_error())
+        worst_consensus = max(worst_consensus, sim.final.consensus_error())
         pooled = Dataset(
-            features=np.concatenate([s.features for s in sim.shards]),
-            labels=np.concatenate([s.labels for s in sim.shards]))
+            features=np.concatenate([s.features for s in sim.base.shards]),
+            labels=np.concatenate([s.labels for s in sim.base.shards]))
         central = train_centralized(pooled, cfg.classes, alpha=0.5, iters=800)
-        gap = abs(trace[-1].accuracy - accuracy(central, sim.test_set))
+        gap = abs(trace[-1].accuracy - accuracy(central, sim.base.test_set))
         worst_gap = max(worst_gap, gap)
     elapsed = time.time() - t0
     ok = worst_consensus < 1e-3 and worst_gap <= 0.02 and elapsed < 30
@@ -316,8 +317,11 @@ def test_criterion_9_determinism_and_plumbing(tmp_path):
 
     assert parse_config_data(_yaml.safe_load(canonical_yaml(spec))) == spec
 
-    # byte-identical CSV and SVG outputs across reruns
+    # byte-identical CSV and SVG outputs across reruns, each computing its
+    # adversary-free runs afresh
+    clear_memo()
     first = run_experiment(spec, output_dir=tmp_path / "a")
+    clear_memo()
     second = run_experiment(spec, output_dir=tmp_path / "b")
     mismatches = []
     for path in sorted((tmp_path / "a").rglob("*.csv")):

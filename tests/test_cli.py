@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from dflsim import simulation
 from dflsim.cli import main
 from dflsim.config import parse_config
 from dflsim.metrics import EpochMetrics, compute_aal
@@ -14,6 +15,7 @@ from dflsim.plots import (
     render_aal_bars,
     render_accuracy_plot,
 )
+from dflsim.simulation import clear_memo
 from dflsim.sweep import run_experiment
 
 TINY_CONFIG = """
@@ -28,6 +30,21 @@ data: {{classes: 5, feature_dim: 8, samples_per_node: 10, test_samples: 100}}
 sweep:
   strategy: [random, maxspan]
   seed: [1, 2]
+"""
+
+
+SHARED_CONFIG = """
+name: shared
+graph: {family: dg, n: 3, param: 1.4}
+adversary_count: 1
+epochs: 4
+t_attack: 1
+failures: high
+data: {classes: 3, feature_dim: 4, samples_per_node: 6, classes_per_node: 2,
+       test_samples: 30}
+sweep:
+  strategy: [maxspan, random, degree]
+  seed: [3, 2, 31, 11]
 """
 
 
@@ -92,6 +109,7 @@ class TestRunExperiment:
         config, out, _ = tiny_run
         spec = parse_config(config)
         second = tmp_path / "again"
+        clear_memo()  # compute the adversary-free runs again
         run_experiment(spec, output_dir=second)
         for path in sorted(out.rglob("*.csv")):
             twin = second / path.relative_to(out)
@@ -104,6 +122,57 @@ class TestRunExperiment:
         run_experiment(spec, output_dir=pooled, workers=2)
         assert (pooled / "summary.csv").read_bytes() == \
                (out / "summary.csv").read_bytes()
+
+    def test_grouped_cells_match_across_worker_counts(self, tmp_path,
+                                                      monkeypatch):
+        # strategies and seeds listed out of order, so the cells that share
+        # an adversary-free run are not adjacent in cell order; seed 11
+        # loses every node to the failure event and seed 31 every counted
+        # node for two of the placements
+        config = tmp_path / "shared.yaml"
+        config.write_text(SHARED_CONFIG)
+        spec = parse_config(config)
+        computed = []
+        compute = simulation._run_adversary_free
+
+        def counting(cfg, graph):
+            computed.append(cfg.seed)
+            return compute(cfg, graph)
+
+        monkeypatch.setattr(simulation, "_run_adversary_free", counting)
+        runs = {}
+        for workers in (1, 2):
+            clear_memo()
+            runs[workers] = tmp_path / f"w{workers}"
+            run_experiment(spec, output_dir=runs[workers], workers=workers)
+            # seed 11's run raised, so the serial run keeps seed 31's;
+            # the pool's children kept theirs
+            assert [key.seed for key, _ in simulation._memo] == \
+                ([31] if workers == 1 else [])
+        # serially, each adversary-free run is computed once for all its
+        # cells, except seed 11's, which raises in each of them
+        assert computed == [3, 2, 31, 11, 11, 11]
+        files = sorted(p.relative_to(runs[1]) for p in runs[1].rglob("*.csv"))
+        assert files == sorted(p.relative_to(runs[2])
+                               for p in runs[2].rglob("*.csv"))
+        for name in files:
+            assert (runs[1] / name).read_bytes() == \
+                (runs[2] / name).read_bytes(), name
+        failures = read_csv(runs[1] / "failures.csv")
+        empty = "dflsim.simulation.SimulationError: network failure " \
+                "removed every node"
+        no_honest = "dflsim.simulation.SimulationError: no honest nodes " \
+                    "left to measure"
+        assert [(f["run_id"].split("_")[0], f["run_id"].rsplit("_s", 1)[1],
+                 f["error"]) for f in failures] == [
+            ("maxspan", "31", no_honest), ("maxspan", "11", empty),
+            ("random", "31", no_honest), ("random", "11", empty),
+            ("degree", "11", empty)]
+        summary = read_csv(runs[1] / "summary.csv")
+        assert [(r["strategy"], r["seed"]) for r in summary] == [
+            ("maxspan", "3"), ("maxspan", "2"), ("random", "3"),
+            ("random", "2"), ("degree", "3"), ("degree", "2"),
+            ("degree", "31")]
 
     def test_empty_sweep_succeeds(self, tmp_path):
         config = tmp_path / "empty.yaml"
@@ -283,10 +352,32 @@ class TestCliVerbs:
         config.write_text("horizons: 2\n")
         assert main(["verify-lemma", str(config)]) == 2
 
+    @pytest.mark.parametrize("line", ["horizon: abc", "n_advs: 5",
+                                      "delta_min: [x]", "dim: 0",
+                                      "trials: 0"])
+    def test_verify_lemma_bad_value_exit_2(self, tmp_path, capsys, line):
+        config = tmp_path / "lemma.yaml"
+        config.write_text(line + "\n")
+        assert main(["verify-lemma", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert captured.out == ""
+
     def test_complexity_probe_verb(self, capsys):
         assert main(["complexity-probe", "--sizes", "40", "80",
                      "--repeats", "2"]) == 0
         assert "slope" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args", [["--sizes", "1"],
+                                      ["--sizes", "40", "1"],
+                                      ["--sizes", "80", "40"],
+                                      ["--repeats", "0"],
+                                      ["--repeats", "-2"]])
+    def test_complexity_probe_bad_value_exit_2(self, capsys, args):
+        assert main(["complexity-probe", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert captured.out == ""
 
     def test_presets_list(self, capsys):
         assert main(["presets", "list"]) == 0

@@ -1,14 +1,19 @@
+import copy
+
 import numpy as np
 import pytest
 
+from dflsim import simulation
 from dflsim.graphs import complete_graph, gen_directed_geometric, graph_from_edges
 from dflsim.learning import Dataset, Model, fgsm_poison, loss_and_grad
 from dflsim.simulation import (
+    Run,
     Simulation,
     SimulationConfig,
     SimulationError,
     adversary_step,
     build_graph,
+    clear_memo,
     honest_step,
     run_simulation,
     seed_streams,
@@ -194,32 +199,32 @@ class TestRunSimulation:
                                  alternative="greater").pvalue < 0.05
 
     def test_epoch_update_is_pure_function_of_snapshot(self):
-        # recompute one engine epoch by hand for every replica, iterating
-        # nodes in reverse order: results must match (snapshot semantics)
+        # recompute engine epochs by hand, iterating nodes in reverse order:
+        # results must match (snapshot semantics). The adversary-free run
+        # through t_attack, then the attacked run from the memoised start.
         cfg = SimulationConfig(n_advs=2, epsilon=400, seed=5, **TINY)
         sim = Simulation(cfg)
+        run = Run.start(cfg, sim.graph, sim.base.shards)
+        adv = None
         for epoch in range(1, cfg.t_attack + 3):
             if epoch == cfg.t_attack + 1:
-                sim._split()
-            x_prev, y_prev, g_prev = (sim.X.copy(), sim.Y.copy(),
-                                      sim.G.copy())
-            sim._advance(epoch)
-            for r in range(len(x_prev)):
-                for i in reversed(range(cfg.n)):
-                    if sim.attacking and r == 0 and not sim.counted[i]:
-                        xi, yi = adversary_step(
-                            x_prev[r, i], sim.shards[i], cfg.classes,
-                            cfg.feature_dim, cfg.alpha,
-                            cfg.effective_epsilon)
-                    else:
-                        grad_fn = lambda x, i=i: loss_and_grad(
-                            Model.from_flat(x, cfg.classes, cfg.feature_dim),
-                            sim.shards[i])[1]
-                        xi, yi = honest_step(i, sim.graph, x_prev[r],
-                                             y_prev[r], cfg.alpha, grad_fn,
-                                             g_prev[r, i])
-                    assert np.allclose(sim.X[r, i], xi, atol=1e-12)
-                    assert np.allclose(sim.Y[r, i], yi, atol=1e-12)
+                assert run.X.tobytes() == sim.base.start.X.tobytes()
+                run, adv = copy.copy(sim.base.start), ~sim.counted
+            x_prev, y_prev, g_prev = run.X, run.Y, run.G
+            run.advance(epoch, adv, cfg.effective_epsilon)
+            for i in reversed(range(cfg.n)):
+                if adv is not None and adv[i]:
+                    xi, yi = adversary_step(
+                        x_prev[i], sim.base.shards[i], cfg.classes,
+                        cfg.feature_dim, cfg.alpha, cfg.effective_epsilon)
+                else:
+                    grad_fn = lambda x, i=i: loss_and_grad(
+                        Model.from_flat(x, cfg.classes, cfg.feature_dim),
+                        sim.base.shards[i])[1]
+                    xi, yi = honest_step(i, sim.graph, x_prev, y_prev,
+                                         cfg.alpha, grad_fn, g_prev[i])
+                assert np.allclose(run.X[i], xi, atol=1e-12)
+                assert np.allclose(run.Y[i], yi, atol=1e-12)
 
     def test_failures_reduce_population(self):
         cfg = SimulationConfig(n_advs=2, epsilon=400, seed=4,
@@ -249,29 +254,106 @@ class TestRunSimulation:
         assert [m.accuracy for m in a1] == [m.accuracy for m in a2]
 
     def test_replica_roles_and_counted_masks(self):
-        # one shared replica through t_attack, then attacked + baseline;
-        # both twins leave the placed nodes out of the accuracy average
+        # the adversary-free run holds every node's accuracy and the state
+        # the attacked run starts from; both traces leave the placed nodes
+        # out of the accuracy average
         cfg = SimulationConfig(n_advs=2, seed=8, **TINY)
         sim = Simulation(cfg)
+        base = sim.base
         p = cfg.classes * (cfg.feature_dim + 1)
-        assert sim.X.shape == sim.Y.shape == sim.G.shape == (1, cfg.n, p)
-        assert not sim.attacking
+        assert sim.final is None
         assert sorted(np.flatnonzero(~sim.counted)) == \
             sorted(sim.adversaries.members)
-        assert sim.batch.counts.sum() == sum(s.n_samples for s in sim.shards)
-        sim._split()
-        assert sim.attacking and sim.X.shape == (2, cfg.n, p)
-        assert np.array_equal(sim.X[0], sim.X[1])
-        # without adversaries the twins never split
+        assert base.acc.shape == (cfg.epochs + 1, cfg.n) and base.alive.all()
+        assert base.start.X.shape == base.start.Y.shape == (cfg.n, p)
+        assert base.start.batch.counts.sum() == \
+            sum(s.n_samples for s in base.shards)
+        attacked, baseline = sim.run()
+        assert [m.accuracy for m in baseline] == \
+            [float(np.mean(row[sim.counted])) for row in base.acc]
+        assert attacked[:cfg.t_attack + 1] == baseline[:cfg.t_attack + 1]
+        assert sim.final.X.shape == (cfg.n, p)
+        # without adversaries the attacked run is the adversary-free run,
+        # and both placements share it
         plain = Simulation(SimulationConfig(n_advs=0, seed=8, **TINY))
-        plain._split()
-        assert not plain.attacking and plain.counted.all()
+        a, b = plain.run()
+        assert plain.base is base and a == b and plain.counted.all()
+        assert plain.final is base.end
 
     def test_non_finite_state_is_simulation_error(self):
         cfg = SimulationConfig(n_advs=2, epsilon=1e200, seed=2, **TINY)
         with np.errstate(all="ignore"):
             with pytest.raises(SimulationError, match="non-finite"):
                 run_simulation(cfg)
+
+
+STRATEGIES = ("random", "eigen", "degree", "maxspan", "maxspan-hop")
+
+
+def outputs(sim):
+    """Both traces, exactly, and the attacked run's final state."""
+    attacked, baseline = sim.run()
+    return ([(m.epoch, m.accuracy.hex(), m.n_honest_alive) for m in attacked],
+            [(m.epoch, m.accuracy.hex(), m.n_honest_alive) for m in baseline],
+            sim.final.X.tobytes(), sim.final.Y.tobytes(), sim.final.G.tobytes())
+
+
+class TestAdversaryFreeMemo:
+    @pytest.mark.parametrize("extra", [
+        {},
+        dict(p_node_fail=0.3, p_link_fail=0.2, classes_per_node=2),
+        dict(n_advs=0, p_node_fail=0.3, p_link_fail=0.2),
+    ], ids=["iid", "failures-non-iid", "no-adversaries"])
+    def test_warm_memo_matches_cold(self, extra):
+        configs = [SimulationConfig(**{**TINY, "n_advs": 2, "epsilon": 500,
+                                       "seed": 4, **extra, "strategy": s})
+                   for s in STRATEGIES]
+        cold = []
+        for cfg in configs:
+            clear_memo()
+            cold.append(outputs(Simulation(cfg)))
+        clear_memo()
+        first = Simulation(configs[0])
+        warm = [outputs(first)]
+        for cfg in configs[1:]:
+            sim = Simulation(cfg)
+            assert sim.base is first.base  # a memo hit
+            warm.append(outputs(sim))
+        assert warm == cold
+
+    def test_memoised_arrays_are_read_only(self):
+        clear_memo()
+        base = Simulation(SimulationConfig(n_advs=2, p_node_fail=0.3,
+                                           seed=4, **TINY)).base
+        arrays = [base.acc, base.alive, base.test_set.features]
+        for run in (base.start, base.end):
+            arrays += [run.X, run.Y, run.G, run.batch.features]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_memo_holds_only_the_latest_run(self):
+        clear_memo()
+        for seed in range(1, 6):
+            sim = Simulation(SimulationConfig(n_advs=2, seed=seed, **TINY))
+            assert list(simulation._memo.values()) == [sim.base]
+
+    def test_memo_key_includes_the_graph(self):
+        clear_memo()
+        cfg = SimulationConfig(n_advs=2, seed=4, **TINY)
+        first = Simulation(cfg)
+        other = build_graph(cfg, seed_streams(cfg.seed + 1)["graph"])
+        assert other != first.graph
+        assert Simulation(cfg, graph=other).base is not first.base
+
+    def test_raising_run_is_not_cached(self):
+        clear_memo()
+        for strategy in STRATEGIES:
+            cfg = SimulationConfig(n_advs=2, p_node_fail=1.0, seed=1,
+                                   strategy=strategy, **TINY)
+            with pytest.raises(SimulationError, match="removed every node"):
+                run_simulation(cfg)
+            assert not simulation._memo
 
 
 class TestConfigValidation:

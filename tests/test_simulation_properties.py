@@ -4,6 +4,8 @@ Random small configs cover the paths the sweeps rarely take:
 `literal_out` tracker mixing, several local iterations, node and link
 failures with ragged non-IID shards, and runs without adversaries.
 """
+import copy
+
 import numpy as np
 from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
@@ -11,12 +13,14 @@ from hypothesis import strategies as st
 from dflsim.graphs import GenerationError
 from dflsim.learning import Model, PartitionError, loss_and_grad
 from dflsim.simulation import (
+    Run,
     Simulation,
     SimulationConfig,
     SimulationError,
     _mix,
     _slot_table,
     adversary_step,
+    clear_memo,
     honest_step,
 )
 
@@ -69,39 +73,31 @@ def build(cfg):
         reject()
 
 
-def split(sim):
-    try:
-        sim._split()
-    except SimulationError:  # every node failed
-        reject()
-
-
-def oracle_epoch(sim, cfg, x_prev, y_prev, g_prev):
+def oracle_epoch(run, shards, cfg, adv):
     """The epoch rebuilt row by row from honest_step / adversary_step, in
     reverse node order (snapshot semantics)."""
+    x_prev, y_prev, g_prev = run.X, run.Y, run.G
     x, y, g = (np.empty_like(a) for a in (x_prev, y_prev, g_prev))
-    for r in range(len(x_prev)):
-        for i in reversed(range(sim.graph.n)):
-            def grad(v, i=i):
-                model = Model.from_flat(v, cfg.classes, cfg.feature_dim)
-                return loss_and_grad(model, sim.shards[i])[1]
-            if sim.attacking and r == 0 and not sim.counted[i]:
-                xi = x_prev[r, i]
-                for _ in range(cfg.local_iters):
-                    xi, yi = adversary_step(xi, sim.shards[i], cfg.classes,
-                                            cfg.feature_dim, cfg.alpha,
-                                            cfg.effective_epsilon)
-                gi = yi
-            else:
-                xi, yi = honest_step(i, sim.graph, x_prev[r], y_prev[r],
-                                     cfg.alpha, grad, g_prev[r, i],
-                                     cfg.tracker_mixing)
-                for _ in range(cfg.local_iters - 1):
-                    g_old = grad(xi)
-                    xi = xi - cfg.alpha * g_old
-                    yi = yi + grad(xi) - g_old
-                gi = grad(xi)
-            x[r, i], y[r, i], g[r, i] = xi, yi, gi
+    for i in reversed(range(run.graph.n)):
+        def grad(v, i=i):
+            model = Model.from_flat(v, cfg.classes, cfg.feature_dim)
+            return loss_and_grad(model, shards[i])[1]
+        if adv is not None and adv[i]:
+            xi = x_prev[i]
+            for _ in range(cfg.local_iters):
+                xi, yi = adversary_step(xi, shards[i], cfg.classes,
+                                        cfg.feature_dim, cfg.alpha,
+                                        cfg.effective_epsilon)
+            gi = yi
+        else:
+            xi, yi = honest_step(i, run.graph, x_prev, y_prev, cfg.alpha,
+                                 grad, g_prev[i], cfg.tracker_mixing)
+            for _ in range(cfg.local_iters - 1):
+                g_old = grad(xi)
+                xi = xi - cfg.alpha * g_old
+                yi = yi + grad(xi) - g_old
+            gi = grad(xi)
+        x[i], y[i], g[i] = xi, yi, gi
     return x, y, g
 
 
@@ -110,14 +106,33 @@ def oracle_epoch(sim, cfg, x_prev, y_prev, g_prev):
 @example(PINNED[0])
 @example(PINNED[1])
 def test_every_epoch_matches_per_node_oracle(cfg):
+    # the adversary-free run from epoch 0, then the attacked and the
+    # adversary-free run from the memoised state after the failure event
     sim = build(cfg)
+    base, shards = sim.base, sim.base.shards
+    if base.error is not None:  # every node failed
+        reject()
+    runs = [(Run.start(cfg, sim.graph, shards), None)]
     for epoch in range(1, cfg.epochs + 1):
         if epoch == cfg.t_attack + 1:
-            split(sim)
-        expect = oracle_epoch(sim, cfg, sim.X, sim.Y, sim.G)
-        sim._advance(epoch)
-        for got, want in zip((sim.X, sim.Y, sim.G), expect):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            prefix = runs[0][0].X[base.alive]
+            assert prefix.tobytes() == base.start.X.tobytes()
+            shards = [shards[v] for v in np.flatnonzero(base.alive)]
+            adv = ~sim.counted[base.alive] if cfg.n_advs else None
+            runs = [(copy.copy(base.start), adv),
+                    (copy.copy(base.start), None)]
+        for run, adv in runs:
+            expect = oracle_epoch(run, shards, cfg, adv)
+            run.advance(epoch, adv, cfg.effective_epsilon)
+            for got, want in zip((run.X, run.Y, run.G), expect):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    # the stepped runs end where the simulation's own runs ended
+    assert runs[-1][0].X.tobytes() == base.end.X.tobytes()
+    try:
+        sim.run()
+    except SimulationError:  # every counted node failed: no attacked trace
+        return
+    assert runs[0][0].X.tobytes() == sim.final.X.tobytes()
 
 
 def mixing_matrix(table, n):
@@ -149,10 +164,14 @@ def test_mix_has_the_bits_of_each_set_mean(case):
 @example(PINNED[0])
 def test_mixing_rows_are_stochastic_before_and_after_failures(cfg):
     sim = build(cfg)
-    for stage in ("initial", "after failures"):
-        g = sim.graph
-        w_x = mixing_matrix(sim._x_table, g.n)
-        w_y = mixing_matrix(sim._y_table, g.n)
+    base = sim.base
+    if base.error is not None:  # every node failed
+        reject()
+    for stage, run in (("initial", Run.start(cfg, sim.graph, base.shards)),
+                       ("after failures", base.start or base.end)):
+        g = run.graph
+        w_x = mixing_matrix(run._x_table, g.n)
+        w_y = mixing_matrix(run._y_table, g.n)
         for i in range(g.n):
             x_set = set(g.in_neighbors[i]) | {i}
             y_set = (x_set if cfg.tracker_mixing == "in_self"
@@ -161,7 +180,6 @@ def test_mixing_rows_are_stochastic_before_and_after_failures(cfg):
             assert set(np.flatnonzero(w_y[i])) == y_set, stage
         np.testing.assert_allclose(w_x.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(w_y.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        split(sim)
 
 
 def hex_trace(trace):
@@ -173,8 +191,11 @@ def hex_trace(trace):
 @example(PINNED[0])
 @example(PINNED[1])
 def test_twins_agree_through_t_attack_and_reruns_repeat(cfg):
+    # two computations, not a computation and a memo hit
     try:
+        clear_memo()
         attacked, baseline = build(cfg).run()
+        clear_memo()
         again = build(cfg).run()
     except SimulationError:  # every node, or every counted node, failed
         reject()
