@@ -4,7 +4,7 @@ Verbs: `run <config>`, `plot <csv...> --kind <k> -o <svg>`,
 `verify-lemma <config>`, `complexity-probe --sizes ...`, `presets list`.
 Exit codes: 0 success, 1 total failure, 2 config error. The worker count
 for sweeps comes from --workers or the DFLSIM_WORKERS environment
-variable.
+variable, and must be a positive integer.
 """
 from __future__ import annotations
 
@@ -46,6 +46,15 @@ def _cmd_run(args) -> int:
     if result.n_failed:
         print(f"{result.n_failed} cells failed; see "
               f"{result.output_dir / 'failures.csv'}", file=sys.stderr)
+    if result.short_aggregates:
+        rows = "".join(
+            f"\n  {strategy} {family} n={n} n_advs={n_advs} {params}: "
+            f"{runs} of {cells} runs"
+            for strategy, family, params, n, n_advs, runs, cells
+            in result.short_aggregates)
+        print(f"warning: {len(result.short_aggregates)} rows of "
+              f"{result.agg_path} aggregate fewer runs than they have "
+              f"cells:{rows}", file=sys.stderr)
     return EXIT_FAILURE if result.all_failed else EXIT_OK
 
 

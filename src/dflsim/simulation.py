@@ -309,10 +309,9 @@ def _run_adversary_free(cfg: SimulationConfig, graph: Graph) -> Baseline:
     return Baseline(shards, test_set, alive, acc, start, end, error)
 
 
-# The latest adversary-free run, by key. Sweeps submit the cells that
-# share a run back to back, and a pool worker takes cells in submission
-# order, so each process meets a key's cells in one stretch: one entry
-# gets every reuse.
+# The latest adversary-free run, by key. A sweep runs all the cells that
+# share a run as one task, in a row and in one process (see `sweep`), so
+# one entry gets every reuse.
 _memo: dict[tuple[SimulationConfig, Graph], Baseline] = {}
 
 

@@ -3,17 +3,20 @@
 Each sweep cell runs one simulation (attacked plus its adversary-free
 twin) and writes two trace CSVs. Graphs are generated once per
 (family, param, n, seed) before dispatch and cached as edge-list files,
-so concurrent cells share them read-only. Cells that share an
-adversary-free run are submitted back to back, so each process runs it
-once for them. The summary is assembled by a single aggregator in
-deterministic cell order whatever the worker count.
+so concurrent cells share them read-only. The cells that share an
+adversary-free run (a key) form one task: a process runs them in a row,
+so its memo computes that run once for all of them, and the pool has at
+most one process per key. The summary is assembled by a single
+aggregator in deterministic cell order whatever the worker count.
 """
 from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
 import os
 import traceback
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,6 +52,9 @@ class ExperimentResult:
     n_failed: int
     summary_path: Path
     agg_path: Path
+    # summary_agg.csv rows that average fewer runs than they have cells:
+    # (strategy, family, params, n, n_advs, runs, cells)
+    short_aggregates: tuple = ()
 
     @property
     def all_failed(self) -> bool:
@@ -56,20 +62,32 @@ class ExperimentResult:
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get(WORKERS_ENV)
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, "
-                          f"got {env!r}") from None
+    """The sweep's worker count: `workers`, else $DFLSIM_WORKERS, else 1.
+    Anything but a positive integer is a ConfigError."""
+    name = "workers"
+    if workers is None:
+        env = os.environ.get(WORKERS_ENV)
+        if not env:
+            return 1
+        name = WORKERS_ENV
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV} must be an integer, "
+                              f"got {env!r}") from None
+    if workers < 1:
+        raise ConfigError(f"{name} must be at least 1, got {workers}")
+    return workers
 
 
 def graph_cache_key(cfg: SimulationConfig) -> str:
     return f"{cfg.graph_family}{cfg.graph_param:g}_n{cfg.n}_s{cfg.seed}"
+
+
+def _group_key(cell: SweepCell) -> tuple:
+    """A cell's summary_agg.csv row: every axis but the seed."""
+    c = cell.cfg
+    return (c.strategy, c.graph_family, cell.params_label, c.n, c.n_advs)
 
 
 def _write_trace(path: Path, run_id: str, variant: str, trace) -> None:
@@ -94,12 +112,19 @@ def run_cell(cell: SweepCell, out_dir: str, graph_path: str) -> CellOutcome:
         _write_trace(traces / f"{run_id}__baseline.csv", run_id, "baseline",
                      baseline)
         aal = compute_aal(baseline, attacked, cfg.t_attack)
-        row = (cfg.strategy, cfg.graph_family, cell.params_label, cfg.n,
-               cfg.n_advs, cfg.seed, repr(aal))
+        row = _group_key(cell) + (cfg.seed, repr(aal))
         return CellOutcome(run_id=run_id, summary_row=row)
     except Exception as exc:  # cell failures are recorded, not fatal
         detail = "".join(traceback.format_exception_only(type(exc), exc)).strip()
         return CellOutcome(run_id=run_id, error=detail)
+
+
+def _run_key(jobs: list[tuple]) -> list[CellOutcome]:
+    """Run the cells of one key in a row, in one process, so the memo
+    computes their adversary-free run once. `run_cell` is looked up at
+    call time, so a pool child forked from a process that replaced it
+    runs the replacement."""
+    return [run_cell(*args) for args in jobs]
 
 
 def _pregenerate_graphs(cells: list[SweepCell], graph_dir: Path
@@ -153,6 +178,7 @@ def run_experiment(spec: ExperimentSpec, output_dir: Optional[str] = None,
     """Expand the grid, execute every cell, and write trace and summary
     CSVs. Individual cell failures are recorded in failures.csv and
     skipped; the caller decides what a fully-failed run means."""
+    n_workers = resolve_workers(workers)
     out = Path(output_dir or spec.output_dir)
     (out / "traces").mkdir(parents=True, exist_ok=True)
     graph_dir = out / "graphs"
@@ -160,7 +186,6 @@ def run_experiment(spec: ExperimentSpec, output_dir: Optional[str] = None,
 
     cells = spec.cells()
     graph_paths, graph_errors = _pregenerate_graphs(cells, graph_dir)
-    n_workers = resolve_workers(workers)
 
     done: dict[int, CellOutcome] = {}
     groups: dict[SimulationConfig, list] = {}
@@ -172,16 +197,19 @@ def run_experiment(spec: ExperimentSpec, output_dir: Optional[str] = None,
         else:
             groups.setdefault(adversary_free(cell.cfg), []).append(
                 (idx, (cell, str(out), str(graph_paths[key]))))
-    jobs = [job for group in groups.values() for job in group]
-    if n_workers == 1 or len(jobs) <= 1:
-        for idx, args in jobs:
-            done[idx] = run_cell(*args)
+    tasks = [[args for _, args in group] for group in groups.values()]
+    n_workers = min(n_workers, len(tasks))
+    if n_workers > 1:
+        # fork, so that the children run the `run_cell` this process has
+        with ProcessPoolExecutor(
+                n_workers, mp_context=multiprocessing.get_context("fork")
+                ) as pool:
+            results = list(pool.map(_run_key, tasks))
     else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [(idx, pool.submit(run_cell, *args))
-                       for idx, args in jobs]
-            for idx, future in futures:
-                done[idx] = future.result()
+        results = [_run_key(task) for task in tasks]
+    for group, outcomes in zip(groups.values(), results):
+        for (idx, _), outcome in zip(group, outcomes):
+            done[idx] = outcome
     outcomes = [done[idx] for idx in range(len(cells))]
 
     summary_rows = [o.summary_row for o in outcomes if o.summary_row]
@@ -196,7 +224,11 @@ def run_experiment(spec: ExperimentSpec, output_dir: Optional[str] = None,
     with open(agg_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(AGG_COLUMNS)
-        writer.writerows(_aggregate(summary_rows))
+        agg_rows = _aggregate(summary_rows)
+        writer.writerows(agg_rows)
+    expected = Counter(_group_key(cell) for cell in cells)
+    short = tuple(row[:5] + (row[-1], expected[row[:5]]) for row in agg_rows
+                  if row[-1] < expected[row[:5]])
     if failures:
         with open(out / "failures.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -205,4 +237,5 @@ def run_experiment(spec: ExperimentSpec, output_dir: Optional[str] = None,
 
     return ExperimentResult(output_dir=out, n_cells=len(cells),
                             n_failed=len(failures),
-                            summary_path=summary_path, agg_path=agg_path)
+                            summary_path=summary_path, agg_path=agg_path,
+                            short_aggregates=short)

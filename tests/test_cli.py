@@ -265,13 +265,32 @@ class TestPlots:
 
 
 class TestCliVerbs:
-    def test_run_and_exit_codes(self, tmp_path):
+    def test_run_and_exit_codes(self, tmp_path, capsys):
         config = tmp_path / "c.yaml"
         out = tmp_path / "out"
         config.write_text(TINY_CONFIG.format(out=out).replace(
             "seed: [1, 2]", "seed: [1]"))
         assert main(["run", str(config)]) == 0
         assert (out / "summary.csv").exists()
+        assert capsys.readouterr().err == ""
+
+    def test_short_aggregates_warned(self, tmp_path, capsys):
+        # SHARED_CONFIG's seeds 11 and 31 fail some cells, so every row
+        # of summary_agg.csv averages fewer runs than its 4 seeds
+        config = tmp_path / "shared.yaml"
+        config.write_text(SHARED_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", str(config), "-o", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        params = "param=1.4;eps=250;t=1;k=2;fail=high"
+        assert err[1:] == [
+            f"warning: 3 rows of {out / 'summary_agg.csv'} aggregate fewer "
+            "runs than they have cells:",
+            f"  maxspan dg n=3 n_advs=1 {params}: 2 of 4 runs",
+            f"  random dg n=3 n_advs=1 {params}: 2 of 4 runs",
+            f"  degree dg n=3 n_advs=1 {params}: 3 of 4 runs"]
+        assert [r["runs"] for r in read_csv(out / "summary_agg.csv")] == \
+            ["2", "2", "3"]
 
     def test_run_bad_failure_probability_exit_2(self, tmp_path, capsys):
         config = tmp_path / "bad.yaml"
@@ -286,6 +305,23 @@ class TestCliVerbs:
         config.write_text(TINY_CONFIG.format(out=tmp_path / "out"))
         assert main(["run", str(config)]) == 2
         assert "DFLSIM_WORKERS" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args,env", [
+        (["--workers", "0"], None), (["--workers", "-1"], None),
+        ([], "0"), ([], "-2")])
+    def test_run_bad_worker_count_exit_2(self, tmp_path, monkeypatch, capsys,
+                                         args, env):
+        if env is None:
+            monkeypatch.delenv("DFLSIM_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("DFLSIM_WORKERS", env)
+        config = tmp_path / "tiny.yaml"
+        config.write_text(TINY_CONFIG.format(out=tmp_path / "out"))
+        assert main(["run", str(config), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert ("workers" if env is None else "DFLSIM_WORKERS") in err
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_cell_lands_in_failures(self, tmp_path):
