@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .config import ConfigError, parse_config, parse_config_data
+from .config import ConfigError, coerce, parse_config
 from .plots import PlotError, plot_csv
 from .presets import PRESETS
 from .sweep import resolve_workers, run_experiment
@@ -77,18 +76,6 @@ _LEMMA_KEYS = {"n_advs": (int, [1, 2, 3]),
                "rng_seed": (int, 0)}
 
 
-def _lemma_number(key: str, value, kind: type):
-    """value as kind: an int, or a finite float (integral for an int key)."""
-    if isinstance(value, float):
-        ok = math.isfinite(value) and (kind is float or value.is_integer())
-    else:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    if not ok:
-        expected = "an integer" if kind is int else "a finite number"
-        raise ConfigError(f"{key}: expected {expected}, got {value!r}")
-    return kind(value)
-
-
 def _lemma_grid_from_config(path: str):
     """Lemma-verification config: optional YAML with grid overrides."""
     raw = {}
@@ -107,9 +94,9 @@ def _lemma_grid_from_config(path: str):
     for key, (kind, default) in _LEMMA_KEYS.items():
         value = raw.get(key, default)
         if not isinstance(default, list):
-            values[key] = _lemma_number(key, value, kind)
+            values[key] = coerce(key, value, kind)
         elif isinstance(value, list) and value:
-            values[key] = tuple(_lemma_number(key, v, kind) for v in value)
+            values[key] = tuple(coerce(key, v, kind) for v in value)
         else:
             raise ConfigError(f"{key}: expected a non-empty list, "
                               f"got {value!r}")

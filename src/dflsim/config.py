@@ -1,117 +1,149 @@
 """Experiment configuration: strict YAML parsing, validation, expansion.
 
 A config file describes one named experiment: a base simulation setup
-plus optional sweep axes (lists). Unknown keys are rejected; validation
-reports every violated constraint at once. `canonical_yaml` emits a
-fully-populated normal form that re-parses to an identical spec.
+plus optional sweep axes (lists). `PARAMS` declares each parameter once;
+the YAML schema, the types, `ExperimentSpec`, `SweepAxes`, the sweep grid
+and `canonical_yaml` (a fully-populated normal form that re-parses to an
+identical spec) follow from it. Unknown keys are rejected; validation
+reports every violated constraint at once, each by its YAML path.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import MISSING, dataclass, field, fields, make_dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional, get_type_hints
 
 import yaml
 
 from .placement import STRATEGY_IDS, HoppingParams
-from .simulation import GRAPH_FAMILIES, SimulationConfig
+from .simulation import SimulationConfig
 
 # Named failure settings: (node failure probability, link failure probability).
-FAILURE_SETTINGS = {
-    "none": (0.0, 0.0),
-    "low": (0.1, 0.02),
-    "mild": (0.15, 0.05),
-    "moderate": (0.20, 0.1),
-    "high": (0.3, 0.2),
-}
+FAILURE_SETTINGS = {"none": (0.0, 0.0), "low": (0.1, 0.02), "mild": (0.15, 0.05),
+                    "moderate": (0.20, 0.1), "high": (0.3, 0.2)}
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SweepAxes:
-    """Optional per-axis value lists; an absent axis uses the base value."""
+class Param(NamedTuple):
+    """A YAML path, the `ExperimentSpec` field it sets (`hopping.x` sets x
+    of `hopping`), its sweep axis, and a kind and default only where
+    SimulationConfig has no field named as the axis, or else as the field."""
 
-    strategy: Optional[tuple[str, ...]] = None
-    graph_param: Optional[tuple[float, ...]] = None
-    n: Optional[tuple[int, ...]] = None
-    adversary_fraction: Optional[tuple[float, ...]] = None
-    epsilon: Optional[tuple[float, ...]] = None
-    t_attack: Optional[tuple[int, ...]] = None
-    classes_per_node: Optional[tuple[int, ...]] = None
-    failure_setting: Optional[tuple[str, ...]] = None
-    seed: Optional[tuple[int, ...]] = None
+    path: str
+    field: str
+    axis: Optional[str] = None
+    kind: Optional[type] = None
+    default: Any = MISSING
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A named experiment: base simulation parameters plus sweep axes."""
+PARAMS = (
+    Param("name", "name", kind=str),
+    Param("output_dir", "output_dir", kind=str),
+    # the sweep axes in grid order; the seed axis comes last
+    Param("graph.param", "graph_param", "graph_param"),
+    Param("graph.n", "graph_n", "n"),
+    Param("adversary_fraction", "adversary_fraction", "adversary_fraction",
+          float, 0.2),
+    Param("strategy", "strategy", "strategy"),
+    Param("epsilon", "epsilon", "epsilon"),
+    Param("t_attack", "t_attack", "t_attack"),
+    Param("data.classes_per_node", "classes_per_node", "classes_per_node"),
+    Param("failures.setting", "failure_setting", "failure_setting", str,
+          "none"),
+    # shared by every cell
+    Param("epochs", "epochs"),
+    Param("alpha", "alpha"),
+    Param("local_iters", "local_iters"),
+    Param("epsilon_scale", "epsilon_scale"),
+    Param("adversary_count", "adversary_count", kind=int, default=None),
+    Param("tracker_mixing", "tracker_mixing"),
+    Param("graph.family", "graph_family"),
+    Param("data.classes", "classes"),
+    Param("data.feature_dim", "feature_dim"),
+    Param("data.samples_per_node", "samples_per_node"),
+    Param("data.spread", "spread"),
+    Param("data.test_samples", "test_samples"),
+    Param("hopping.alpha0", "hopping.alpha0"),
+    Param("hopping.alpha1", "hopping.alpha1"),
+    Param("hopping.alpha2", "hopping.alpha2"),
+    Param("hopping.decay", "hopping.decay"),
+)
 
-    name: str
-    output_dir: str
-    strategy: str = "random"
-    epochs: int = 60
-    t_attack: int = 15
-    alpha: float = 0.05
-    local_iters: int = 1
-    epsilon: float = 250.0
-    epsilon_scale: float = 0.002
-    adversary_fraction: float = 0.2
-    adversary_count: Optional[int] = None
-    tracker_mixing: str = "in_self"
-    graph_family: str = "dg"
-    graph_n: int = 25
-    graph_param: float = 0.2
-    classes: int = 10
-    feature_dim: int = 20
-    samples_per_node: int = 20
-    classes_per_node: int = 10
-    spread: float = 0.3
-    test_samples: int = 200
-    failure_setting: str = "none"
-    hopping: HoppingParams = field(default_factory=HoppingParams)
-    sweep: SweepAxes = field(default_factory=SweepAxes)
+AXES = tuple(p.axis for p in PARAMS if p.axis) + ("seed",)
+_AXIS_FIELDS = {p.axis: p.field for p in PARAMS if p.axis}
+_SIM = {f.name: f for f in fields(SimulationConfig)}
+# the value type of each SimulationConfig field, axis and PARAMS field
+_KINDS = {**get_type_hints(SimulationConfig),
+          **{f"hopping.{name}": kind for name, kind
+             in get_type_hints(HoppingParams).items()},
+          **{p.field: p.kind for p in PARAMS if p.kind}}
+# YAML paths by axis, or else by field (SimulationConfig's name for both)
+_PATHS = {p.axis or p.field: p.path for p in PARAMS}
+_SECTIONS = {"sweep", *(p.path.split(".")[0] for p in PARAMS if "." in p.path)}
+# the kind of each YAML path's value, or of each value of a sweep axis
+_PATH_KINDS = {**{p.path: _KINDS[p.axis or p.field] for p in PARAMS},
+               **{f"sweep.{axis}": _KINDS[axis] for axis in AXES},
+               "seeds": int, "failures.p_node": float, "failures.p_link": float}
+
+# Optional per-axis value lists; an absent axis uses the base value.
+SweepAxes = make_dataclass(
+    "SweepAxes", [(axis, Optional[tuple], None) for axis in AXES],
+    frozen=True, namespace={"__module__": __name__})
+
+
+def _spec_field(p: Param) -> tuple:
+    """p's ExperimentSpec field (`hopping.x` gives `hopping`), typed and
+    defaulted by p or by SimulationConfig."""
+    name = p.field.partition(".")[0]
+    if p.kind:
+        return name, p.kind, field(default=p.default)
+    f = _SIM[p.axis or name]
+    return name, f.type, field(default=f.default,
+                               default_factory=f.default_factory)
+
+
+_SPEC_FIELDS = [*{f[0]: f for f in map(_spec_field, PARAMS)}.values(),
+                ("sweep", "SweepAxes", field(default_factory=SweepAxes))]
+# the ExperimentSpec fields every cell takes as they are
+_SHARED = [f[0] for f in _SPEC_FIELDS if f[0] in _SIM and f[0] not in AXES]
+
+
+class ExperimentSpec(make_dataclass("_SpecFields", _SPEC_FIELDS, frozen=True)):
+    """A named experiment: base simulation parameters plus sweep axes, the
+    fields `PARAMS` names."""
 
     def axis(self, name: str) -> tuple:
         """Values for one sweep axis (base value when the axis is absent)."""
         values = getattr(self.sweep, name)
         if values is not None:
             return values
-        if name == "seed":
-            return (1,)
-        if name == "n":
-            return (self.graph_n,)
-        return (getattr(self, name),)
+        if name in _AXIS_FIELDS:
+            return (getattr(self, _AXIS_FIELDS[name]),)
+        return (_SIM[name].default,)  # the seed
+
+    def _grid(self):
+        """Each cell's SimulationConfig arguments and failure setting."""
+        shared = {name: getattr(self, name) for name in _SHARED}
+        for values in itertools.product(*map(self.axis, AXES)):
+            point = dict(zip(AXES, values))
+            frac = point.pop("adversary_fraction")
+            fail = point.pop("failure_setting")
+            n_advs = (self.adversary_count if self.adversary_count is not None
+                      else max(1, round(frac * point["n"])))
+            p_node, p_link = FAILURE_SETTINGS[fail]
+            yield dict(shared, **point, n_advs=n_advs, p_node_fail=p_node,
+                       p_link_fail=p_link), fail
 
     def cells(self) -> list["SweepCell"]:
         """Expand the sweep grid in deterministic order (seed innermost)."""
-        out = []
-        for (param, n, frac, strategy, eps, t_attack, k, fail,
-             seed) in itertools.product(
-                self.axis("graph_param"), self.axis("n"),
-                self.axis("adversary_fraction"), self.axis("strategy"),
-                self.axis("epsilon"), self.axis("t_attack"),
-                self.axis("classes_per_node"), self.axis("failure_setting"),
-                self.axis("seed")):
-            n_advs = (self.adversary_count if self.adversary_count is not None
-                      else max(1, round(frac * n)))
-            p_node, p_link = FAILURE_SETTINGS[fail]
-            cfg = SimulationConfig(
-                graph_family=self.graph_family, graph_param=param, n=n,
-                strategy=strategy, n_advs=n_advs, epochs=self.epochs,
-                t_attack=t_attack, epsilon=eps,
-                epsilon_scale=self.epsilon_scale, alpha=self.alpha,
-                local_iters=self.local_iters, classes=self.classes,
-                feature_dim=self.feature_dim,
-                samples_per_node=self.samples_per_node, classes_per_node=k,
-                spread=self.spread, test_samples=self.test_samples,
-                p_node_fail=p_node, p_link_fail=p_link, hopping=self.hopping,
-                tracker_mixing=self.tracker_mixing, seed=seed)
-            out.append(SweepCell(cfg=cfg, failure_setting=fail))
-        return out
+        return [SweepCell(cfg=SimulationConfig(**kwargs), failure_setting=fail)
+                for kwargs, fail in self._grid()]
 
 
 @dataclass(frozen=True)
@@ -133,221 +165,134 @@ class SweepCell:
                 f"k={c.classes_per_node};fail={self.failure_setting}")
 
 
-_TOP_KEYS = {"name", "output_dir", "strategy", "epochs", "t_attack", "alpha",
-             "local_iters", "epsilon", "epsilon_scale", "adversary_fraction",
-             "adversary_count", "tracker_mixing", "seeds", "graph", "data",
-             "failures", "hopping", "sweep"}
-_GRAPH_KEYS = {"family", "n", "param"}
-_DATA_KEYS = {"classes", "feature_dim", "samples_per_node",
-              "classes_per_node", "spread", "test_samples"}
-_HOPPING_KEYS = {"alpha0", "alpha1", "alpha2", "decay"}
-_SWEEP_KEYS = {f.name for f in fields(SweepAxes)}
-
-
-def _reject_unknown(section: dict, allowed: set[str], where: str,
-                    problems: list[str]) -> None:
-    for key in section:
-        if key not in allowed:
-            problems.append(f"unknown key {key!r} in {where}")
-
-
-def _as_list(value: Any) -> list:
-    return value if isinstance(value, list) else [value]
-
-
-_INT_FIELDS = {"epochs", "t_attack", "local_iters", "adversary_count",
-               "classes", "feature_dim", "samples_per_node",
-               "classes_per_node", "test_samples", "seed", "seeds", "n"}
-_FLOAT_FIELDS = {"alpha", "epsilon", "epsilon_scale", "adversary_fraction",
-                 "graph_param", "spread", "failures.p_node", "failures.p_link"}
-
-
-def _coerce(key: str, value: Any, problems: list[str]) -> Any:
-    """Coerce a scalar config value to its field type, recording failures."""
-    base = key
-    try:
-        if base in _INT_FIELDS:
-            if isinstance(value, bool) or (isinstance(value, float)
-                                           and value != int(value)):
-                raise ValueError(value)
-            return int(value)
-        if base in _FLOAT_FIELDS:
-            return float(value)
-        return str(value)
-    except (TypeError, ValueError):
-        kind = "an integer" if base in _INT_FIELDS else "a number"
-        problems.append(f"{key}: expected {kind}, got {value!r}")
-        return None
+def coerce(key: str, value: Any, kind: type) -> Any:
+    """value as kind (int, float or str), or a ConfigError naming key: an
+    integral non-bool int, or a finite float (YAML 1.1 reads `1e-3` as a
+    string, so a number may come as one)."""
+    if isinstance(value, bool):
+        pass
+    elif kind is not float and isinstance(value, kind):  # a str or an int
+        return value
+    elif kind is not str and isinstance(value, (int, float, str)):
+        try:
+            number = float(value)
+        except (ValueError, OverflowError):  # not a number, or too large
+            number = math.nan
+        if math.isfinite(number) and (kind is float or number.is_integer()):
+            return kind(number)
+    expected = {int: "an integer", float: "a finite number", str: "a string"}
+    raise ConfigError(f"{key}: expected {expected[kind]}, got {value!r}")
 
 
 def parse_config_data(raw: Any, *, default_name: str = "experiment") -> ExperimentSpec:
     """Build and validate an ExperimentSpec from parsed YAML data."""
-    if raw is None:
-        raw = {}
+    raw = {} if raw is None else raw
     if not isinstance(raw, dict):
         raise ConfigError("top level of the config must be a mapping")
+    if isinstance(raw.get("failures"), str):
+        raw = {**raw, "failures": {"setting": raw["failures"]}}
     problems: list[str] = []
-    _reject_unknown(raw, _TOP_KEYS, "top level", problems)
-
-    graph = raw.get("graph", {}) or {}
-    data = raw.get("data", {}) or {}
-    failures = raw.get("failures", {}) or {}
-    hopping = raw.get("hopping", {}) or {}
-    sweep = raw.get("sweep", {}) or {}
-    for section, allowed, where in ((graph, _GRAPH_KEYS, "graph"),
-                                    (data, _DATA_KEYS, "data"),
-                                    (hopping, _HOPPING_KEYS, "hopping"),
-                                    (sweep, _SWEEP_KEYS, "sweep")):
-        if not isinstance(section, dict):
-            problems.append(f"section {where!r} must be a mapping")
-            continue
-        _reject_unknown(section, allowed, where, problems)
-
-    failure_setting = "none"
-    if failures:
-        if isinstance(failures, str):
-            failure_setting = failures
-        elif isinstance(failures, dict):
-            _reject_unknown(failures, {"setting", "p_node", "p_link"},
-                            "failures", problems)
-            if "setting" in failures:
-                failure_setting = failures["setting"]
-            elif "p_node" in failures or "p_link" in failures:
-                pair = tuple(_coerce(f"failures.{key}",
-                                     failures.get(key, 0.0), problems)
-                             for key in ("p_node", "p_link"))
-                named = {v: k for k, v in FAILURE_SETTINGS.items()}
-                if pair in named:
-                    failure_setting = named[pair]
-                elif None not in pair:  # a bad value is reported already
-                    problems.append(
-                        f"failures.p_node/p_link {pair} do not match a named "
-                        f"setting; use one of {sorted(FAILURE_SETTINGS)}")
+    flat = {}  # the values by YAML path
+    for key, value in raw.items():
+        if key not in _SECTIONS:
+            flat[key] = value
+        elif isinstance(value or {}, dict):
+            flat.update((f"{key}.{k}", v) for k, v in (value or {}).items())
         else:
-            problems.append("section 'failures' must be a mapping or a name")
-    if failure_setting not in FAILURE_SETTINGS:
-        problems.append(f"failures: unknown setting {failure_setting!r}; "
-                        f"expected one of {sorted(FAILURE_SETTINGS)}")
-        failure_setting = "none"
-
-    sweep_kwargs: dict[str, tuple] = {}
-    if isinstance(sweep, dict):
-        for key, value in sweep.items():
-            if key in _SWEEP_KEYS:
-                coerced = [_coerce(key, v, problems) for v in _as_list(value)]
-                sweep_kwargs[key] = tuple(coerced)
-    if "seeds" in raw:
-        count = _coerce("seeds", raw["seeds"], problems)
-        if count is None:
-            pass
-        elif count < 1:
-            problems.append("seeds must be a positive count")
-        elif "seed" in sweep_kwargs:
-            problems.append("give either `seeds: <count>` or `sweep.seed`, "
-                            "not both")
-        else:
-            sweep_kwargs["seed"] = tuple(range(1, count + 1))
-
-    spec_kwargs: dict[str, Any] = dict(
-        name=str(raw.get("name", default_name)),
-        output_dir=str(raw.get("output_dir", f"results/{raw.get('name', default_name)}")),
-    )
-    for key in ("strategy", "epochs", "t_attack", "alpha", "local_iters",
-                "epsilon", "epsilon_scale", "adversary_fraction",
-                "adversary_count", "tracker_mixing"):
-        if key in raw:
-            spec_kwargs[key] = _coerce(key, raw[key], problems)
-    if isinstance(graph, dict):
-        if "family" in graph:
-            spec_kwargs["graph_family"] = str(graph["family"])
-        if "n" in graph:
-            spec_kwargs["graph_n"] = _coerce("n", graph["n"], problems)
-        if "param" in graph:
-            spec_kwargs["graph_param"] = _coerce("graph_param",
-                                                 graph["param"], problems)
-    if isinstance(data, dict):
-        for key in _DATA_KEYS & set(data):
-            spec_kwargs[key] = _coerce(key, data[key], problems)
-        if "classes" in data and "classes_per_node" not in data:
-            # IID by default: every class available at every node
-            spec_kwargs["classes_per_node"] = spec_kwargs.get("classes")
-    spec_kwargs["failure_setting"] = failure_setting
-    if isinstance(hopping, dict):
+            problems.append(f"section {key!r} must be a mapping"
+                            + (" or a name" if key == "failures" else ""))
+    values = {}  # coerced by path; a sweep axis's as a tuple
+    for path, value in flat.items():
+        axis = path.startswith("sweep.")
         try:
-            spec_kwargs["hopping"] = HoppingParams(
-                **{k: float(v) for k, v in hopping.items()
-                   if k in _HOPPING_KEYS})
-        except (TypeError, ValueError) as exc:
-            problems.append(f"hopping: {exc}")
-
-    if problems:
-        # coercion or structure failures make semantic validation moot
-        raise ConfigError("invalid config:\n  - " + "\n  - ".join(problems))
-    try:
-        spec = ExperimentSpec(sweep=SweepAxes(**sweep_kwargs), **spec_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config:\n  - {exc}") from exc
-    _validate(spec, problems)
+            if path not in _PATH_KINDS:
+                raise ConfigError(f"unknown key {path!r}")
+            items = [coerce(path, v, _PATH_KINDS[path]) for v in (
+                value if axis and isinstance(value, list) else [value])]
+        except ConfigError as exc:
+            problems.append(str(exc))
+        else:
+            values[path] = tuple(items) if axis else items[0]
+            if len(set(items)) < len(items):
+                problems.append(f"{path}: repeated values in {items}; each "
+                                f"cell would run twice")
+    kwargs = {"name": default_name}
+    kwargs.update((p.field, values[p.path]) for p in PARAMS if p.path in values)
+    kwargs.setdefault("output_dir", f"results/{kwargs['name']}")
+    if "classes" in kwargs and "classes_per_node" not in kwargs:
+        # IID by default: every class available at every node
+        kwargs["classes_per_node"] = kwargs["classes"]
+    given = {"failures.p_node", "failures.p_link"} & flat.keys()
+    if given and "failures.setting" not in flat and given <= values.keys():
+        pair = (values.get("failures.p_node", 0.0),
+                values.get("failures.p_link", 0.0))
+        named = {v: k for k, v in FAILURE_SETTINGS.items()}
+        if pair in named:
+            kwargs["failure_setting"] = named[pair]
+        else:
+            problems.append(f"failures.p_node/p_link {pair} match no named "
+                            f"setting of {sorted(FAILURE_SETTINGS)}")
+    sweep = {path[6:]: v for path, v in values.items() if path[:6] == "sweep."}
+    if "seeds" in values and (values["seeds"] < 1 or "seed" in sweep):
+        problems.append(f"seeds: {values['seeds']} must be a positive count, "
+                        "given without `sweep.seed`")
+    elif "seeds" in values:
+        sweep["seed"] = tuple(range(1, values["seeds"] + 1))
+    hopping = {f.partition(".")[2]: kwargs.pop(f) for f in list(kwargs)
+               if f.startswith("hopping.")}
+    if not problems:
+        try:
+            spec = ExperimentSpec(hopping=HoppingParams(**hopping),
+                                  sweep=SweepAxes(**sweep), **kwargs)
+        except ValueError as exc:
+            problems += [f"hopping.{line}" for line in str(exc).splitlines()]
+        else:
+            _validate(spec, problems)
     if problems:
         raise ConfigError("invalid config:\n  - " + "\n  - ".join(problems))
     return spec
 
 
+def _path(spec: ExperimentSpec, name: str) -> str:
+    """The YAML path that sets axis or field `name` of spec's cells."""
+    if name == "n_advs":
+        name = ("adversary_count" if spec.adversary_count is not None
+                else "adversary_fraction")
+    if name in AXES and getattr(spec.sweep, name) is not None:
+        return f"sweep.{name}"
+    return _PATHS.get(name, name)
+
+
 def _validate(spec: ExperimentSpec, problems: list[str]) -> None:
-    for strategy in spec.axis("strategy"):
-        if strategy not in STRATEGY_IDS:
-            problems.append(f"strategy: unknown id {strategy!r}; expected "
-                            f"one of {STRATEGY_IDS}")
-    if spec.graph_family not in GRAPH_FAMILIES:
-        problems.append(f"graph.family: unknown family "
-                        f"{spec.graph_family!r}; expected {GRAPH_FAMILIES}")
-    for fail in spec.axis("failure_setting"):
-        if fail not in FAILURE_SETTINGS:
-            problems.append(f"sweep.failure_setting: unknown name {fail!r}")
-    for k in spec.axis("classes_per_node"):
-        if not (1 <= k <= spec.classes):
-            problems.append(f"data.classes_per_node: {k} outside "
-                            f"1..{spec.classes} (classes)")
-    for t in spec.axis("t_attack"):
-        if not (0 <= t <= spec.epochs):
-            problems.append(f"t_attack: {t} outside 0..{spec.epochs} (epochs)")
-    for n in spec.axis("n"):
-        if n < 2:
-            problems.append(f"graph.n: {n} must be at least 2")
-        if spec.adversary_count is not None:
-            if not (1 <= spec.adversary_count < n):
-                problems.append(f"adversary_count: {spec.adversary_count} "
-                                f"outside 1..{n - 1}")
-        else:
-            for frac in spec.axis("adversary_fraction"):
-                if not (0.0 < frac < 1.0):
-                    problems.append(f"adversary_fraction: {frac} outside (0, 1)")
-                elif not (1 <= max(1, round(frac * n)) < n):
-                    problems.append(f"adversary_fraction {frac} leaves no "
-                                    f"honest node at n={n}")
-    for eps in spec.axis("epsilon"):
-        if eps < 0:
-            problems.append(f"epsilon: {eps} must be non-negative")
-    if spec.alpha <= 0:
-        problems.append("alpha must be positive")
-    if spec.local_iters < 1:
-        problems.append("local_iters must be >= 1")
+    """Spec-wide checks, then (if they pass) SimulationConfig's per cell."""
+    for axis, known in (("strategy", STRATEGY_IDS),
+                        ("failure_setting", tuple(FAILURE_SETTINGS))):
+        problems += [f"{_path(spec, axis)}: unknown {value!r}; expected one "
+                     f"of {known}" for value in spec.axis(axis)
+                     if value not in known]
+    problems += [f"{_path(spec, 'n')}: {n} is below 2" for n in spec.axis("n")
+                 if n < 2]
+    if spec.adversary_count is not None and spec.adversary_count < 1:
+        problems.append(f"adversary_count: {spec.adversary_count} is below 1")
+    problems += [f"{_path(spec, 'adversary_fraction')}: {frac} outside (0, 1)"
+                 for frac in spec.axis("adversary_fraction")
+                 if spec.adversary_count is None and not 0 < frac < 1]
     if spec.epochs < 1:
-        problems.append("epochs must be >= 1")
-    if spec.tracker_mixing not in ("in_self", "literal_out"):
-        problems.append(f"tracker_mixing: unknown mode {spec.tracker_mixing!r}")
+        problems.append(f"epochs: {spec.epochs} is below 1")
     if spec.graph_family == "pa":
-        for param, n in itertools.product(spec.axis("graph_param"),
-                                          spec.axis("n")):
-            if not (1 <= int(param) < n):
-                problems.append(f"graph.param: pa initial size {param} "
-                                f"outside 1..{n - 1}")
-    # expansion itself revalidates each cell via SimulationConfig
+        problems += [f"{_path(spec, 'graph_param')}: pa initial size {param} "
+                     f"outside 1..{n - 1}" for param, n in itertools.product(
+                         spec.axis("graph_param"), spec.axis("n"))
+                     if not 1 <= int(param) < n]
     if not problems:
-        try:
-            spec.cells()
-        except (ValueError, KeyError) as exc:
-            problems.append(str(exc))
+        for kwargs, _ in spec._grid():
+            try:
+                SimulationConfig(**kwargs)
+            except ValueError as exc:
+                for line in str(exc).splitlines():
+                    name, _, text = line.partition(": ")
+                    problems.append(f"{_path(spec, name)}: {text}")
+        problems[:] = dict.fromkeys(problems)  # one line per distinct fault
 
 
 def parse_config(path) -> ExperimentSpec:
@@ -355,43 +300,19 @@ def parse_config(path) -> ExperimentSpec:
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"could not parse {path}: {exc}") from exc
-    except OSError as exc:
+    except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"could not read {path}: {exc}") from exc
     return parse_config_data(raw, default_name=Path(path).stem)
 
 
 def canonical_yaml(spec: ExperimentSpec) -> str:
     """Fully-populated canonical form; re-parsing yields an identical spec."""
-    doc: dict[str, Any] = {
-        "name": spec.name,
-        "output_dir": spec.output_dir,
-        "strategy": spec.strategy,
-        "epochs": spec.epochs,
-        "t_attack": spec.t_attack,
-        "alpha": spec.alpha,
-        "local_iters": spec.local_iters,
-        "epsilon": spec.epsilon,
-        "epsilon_scale": spec.epsilon_scale,
-        "adversary_fraction": spec.adversary_fraction,
-        "tracker_mixing": spec.tracker_mixing,
-        "graph": {"family": spec.graph_family, "n": spec.graph_n,
-                  "param": spec.graph_param},
-        "data": {"classes": spec.classes, "feature_dim": spec.feature_dim,
-                 "samples_per_node": spec.samples_per_node,
-                 "classes_per_node": spec.classes_per_node,
-                 "spread": spec.spread, "test_samples": spec.test_samples},
-        "failures": {"setting": spec.failure_setting},
-        "hopping": {"alpha0": spec.hopping.alpha0,
-                    "alpha1": spec.hopping.alpha1,
-                    "alpha2": spec.hopping.alpha2,
-                    "decay": spec.hopping.decay},
-    }
-    if spec.adversary_count is not None:
-        doc["adversary_count"] = spec.adversary_count
-    sweep = {name: list(values) for name in _SWEEP_KEYS
-             if (values := getattr(spec.sweep, name)) is not None}
-    if sweep:
-        doc["sweep"] = sweep
+    doc: dict[str, Any] = {}
+    paths = [(p.path, attrgetter(p.field)(spec)) for p in PARAMS]
+    paths += [(f"sweep.{axis}", list(values)) for axis in AXES
+              if (values := getattr(spec.sweep, axis)) is not None]
+    for path, value in paths:
+        if value is not None:  # adversary_count unset
+            section, _, key = path.rpartition(".")
+            (doc.setdefault(section, {}) if section else doc)[key] = value
     return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)

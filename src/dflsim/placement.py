@@ -40,8 +40,14 @@ class HoppingParams:
     decay: float = 1.0
 
     def __post_init__(self):
+        """One ValueError, one `field: text` line per bad value."""
+        problems = [f"{name}: {value} is not finite"
+                    for name, value in vars(self).items()
+                    if not math.isfinite(value)]
         if self.decay < 0:
-            raise ValueError(f"decay must be >= 0, got {self.decay}")
+            problems.append(f"decay: {self.decay} is negative")
+        if problems:
+            raise ValueError("\n".join(problems))
 
 
 @dataclass(frozen=True)
@@ -171,7 +177,9 @@ def place_maxspan_hopping(g: Graph, n_advs: int, params: HoppingParams,
     Each placed adversary independently keeps hopping to its highest
     eigenvector-centrality out-neighbor (excluding current adversaries)
     while uniform draws stay below the hop probability; the hop chance
-    decays with hops already taken. Records the hop trace per adversary.
+    decays with hops already taken. An adversary hops at most g.n times,
+    so the loop ends even where the hop probability stays 1 (decay 0 and
+    a saturated logistic). Records the hop trace per adversary.
     """
     base = place_maxspan(g, n_advs, rng, first=first)
     c_hat = _minmax(clustering_coefficients(g))
@@ -194,7 +202,7 @@ def place_maxspan_hopping(g: Graph, n_advs: int, params: HoppingParams,
         a = start
         hops: list[int] = []
         t = 0
-        while True:
+        while t < g.n:
             p = hop_probability(float(c_hat[start]), var_hat, params, t, g.n)
             if rng.random() >= p:
                 break

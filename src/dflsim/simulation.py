@@ -34,6 +34,11 @@ from .metrics import EpochMetrics
 from .placement import HoppingParams, place
 
 GRAPH_FAMILIES = ("er", "dg", "pa")
+TRACKER_MIXINGS = ("in_self", "literal_out")
+# the least value of each SimulationConfig field that has one
+_LEAST = {"classes": 2, "feature_dim": 1, "samples_per_node": 1,
+          "test_samples": 1, "local_iters": 1, "epsilon": 0,
+          "epsilon_scale": 0, "seed": 0}
 
 
 class SimulationError(RuntimeError):
@@ -68,24 +73,28 @@ class SimulationConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if self.graph_family not in GRAPH_FAMILIES:
-            raise ValueError(f"unknown graph family {self.graph_family!r}")
-        if not (0 <= self.t_attack <= self.epochs):
-            raise ValueError(f"need 0 <= t_attack <= epochs, got "
-                             f"{self.t_attack} vs {self.epochs}")
-        if not (0 <= self.n_advs < self.n):
-            raise ValueError(f"need 0 <= n_advs < n, got {self.n_advs}")
-        if not (1 <= self.classes_per_node <= self.classes):
-            raise ValueError(f"need 1 <= classes_per_node <= classes, got "
-                             f"{self.classes_per_node} vs {self.classes}")
-        if self.alpha <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.epsilon < 0 or self.epsilon_scale < 0:
-            raise ValueError("attack power must be non-negative")
-        if self.local_iters < 1:
-            raise ValueError("local_iters must be >= 1")
-        if self.tracker_mixing not in ("in_self", "literal_out"):
-            raise ValueError(f"unknown tracker_mixing {self.tracker_mixing!r}")
+        """Raise one ValueError listing every violated constraint, one per
+        line, each led by the field it concerns (`field: text`)."""
+        problems = [f"{name}: {getattr(self, name)} is below {least}"
+                    for name, least in _LEAST.items()
+                    if not getattr(self, name) >= least]
+        for name, ok, text in (  # texts are formatted only on failure
+                ("graph_family", self.graph_family in GRAPH_FAMILIES,
+                 "unknown family {graph_family!r}; expected one of "
+                 + str(GRAPH_FAMILIES)),
+                ("n_advs", 0 <= self.n_advs < self.n,
+                 "{n_advs} adversaries outside 0..n - 1 (n = {n})"),
+                ("t_attack", 0 <= self.t_attack <= self.epochs,
+                 "{t_attack} outside 0..{epochs} (epochs)"),
+                ("classes_per_node", 1 <= self.classes_per_node <= self.classes,
+                 "{classes_per_node} outside 1..{classes} (classes)"),
+                ("alpha", self.alpha > 0, "{alpha} is not positive"),
+                ("tracker_mixing", self.tracker_mixing in TRACKER_MIXINGS,
+                 "unknown mode {tracker_mixing!r}")):
+            if not ok:
+                problems.append(f"{name}: " + text.format(**vars(self)))
+        if problems:
+            raise ValueError("\n".join(problems))
 
     @property
     def effective_epsilon(self) -> float:

@@ -338,6 +338,32 @@ class TestCliVerbs:
                    and "non-finite" in f["error"] for f in failures)
         assert read_csv(tmp_path / "out" / "summary.csv") == []
 
+    @pytest.mark.parametrize("line,path", [
+        ("alpha: .nan", "alpha"), ("epsilon: .inf", "epsilon"),
+        ("graph: {param: .nan}", "graph.param"),
+        ("data: {classes: 1}", "data.classes"),
+        ("data: {feature_dim: 0}", "data.feature_dim"),
+        ("data: {samples_per_node: 0}", "data.samples_per_node"),
+        ("data: {test_samples: 0}", "data.test_samples"),
+        ("sweep: {seed: [-1]}", "sweep.seed"),
+        ("output_dir: null", "output_dir"),
+        ("sweep: {seed: [1, 1]}", "sweep.seed"),
+        ("sweep: {strategy: [random, random]}", "sweep.strategy"),
+        ("hopping: {decay: .nan}", "hopping.decay"),
+        ("data: {classes: 5, classes_per_node: 6}",
+         "data.classes_per_node"),
+        ("sweep: {t_attack: [5, 99]}", "sweep.t_attack")])
+    def test_run_bad_value_exit_2_naming_its_path(self, tmp_path, capsys,
+                                                  line, path):
+        config = tmp_path / "bad.yaml"
+        config.write_text(f"name: bad\noutput_dir: {tmp_path / 'out'}\n"
+                          f"{line}\n")
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"\n  - {path}: " in err
+        assert not (tmp_path / "out").exists()
+
     def test_run_bad_config_exit_2(self, tmp_path):
         config = tmp_path / "bad.yaml"
         config.write_text("name: bad\nstrategy: nope\n")

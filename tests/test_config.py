@@ -1,8 +1,15 @@
+import re
+from pathlib import Path
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dflsim.config import (
+    AXES,
     FAILURE_SETTINGS,
+    PARAMS,
     ConfigError,
     ExperimentSpec,
     SweepAxes,
@@ -10,6 +17,7 @@ from dflsim.config import (
     parse_config,
     parse_config_data,
 )
+from dflsim.placement import STRATEGY_IDS, HoppingParams
 from dflsim.presets import PRESETS
 
 
@@ -102,6 +110,18 @@ class TestParsing:
         "graph: 7",
         "failures: [1, 2]",
         "- a",
+        "alpha: .nan",
+        "epsilon: .inf",
+        "graph: {param: .nan}",
+        "data: {classes: 1}",
+        "data: {feature_dim: 0}",
+        "data: {samples_per_node: 0}",
+        "data: {test_samples: 0}",
+        "sweep: {seed: [-1]}",
+        "output_dir: null",
+        "sweep: {seed: [1, 1]}",
+        "sweep: {strategy: [random, random]}",
+        "hopping: {decay: .nan}",
     ])
     def test_ill_typed_values_rejected(self, text):
         with pytest.raises(ConfigError):
@@ -140,6 +160,85 @@ class TestRoundTrip:
     def test_round_trip_preserves_failure_setting(self):
         spec = parse("name: f\nfailures: {setting: moderate}")
         assert parse_config_data(yaml.safe_load(canonical_yaml(spec))) == spec
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_canonical_round_trip_property(self, data):
+        spec = data.draw(specs())
+        text = canonical_yaml(spec)
+        back = parse_config_data(yaml.safe_load(text))
+        assert back == spec
+        assert canonical_yaml(back) == text
+
+
+NAMES = st.text("abcxyz019-_/. ", min_size=1, max_size=12)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def row_values(family: str) -> dict:
+    """A strategy of valid values for every PARAMS row, by YAML path. The
+    ranges keep every cross-field constraint (t_attack <= epochs,
+    classes_per_node <= classes, adversaries < n, pa size < n) true."""
+    return {
+        "name": NAMES, "output_dir": NAMES,
+        "graph.param": (st.integers(1, 3).map(float) if family == "pa"
+                        else st.floats(0.05, 1.0)),
+        "graph.n": st.integers(4, 40),
+        "adversary_fraction": st.floats(0.05, 0.5),
+        "strategy": st.sampled_from(STRATEGY_IDS),
+        "epsilon": st.floats(0.0, 1e4),
+        "t_attack": st.integers(0, 20),
+        "data.classes_per_node": st.integers(1, 5),
+        "failures.setting": st.sampled_from(sorted(FAILURE_SETTINGS)),
+        "epochs": st.integers(20, 80),
+        "alpha": st.floats(1e-6, 1.0),
+        "local_iters": st.integers(1, 3),
+        "epsilon_scale": st.floats(0.0, 1.0),
+        "adversary_count": st.none() | st.integers(1, 3),
+        "tracker_mixing": st.sampled_from(("in_self", "literal_out")),
+        "graph.family": st.just(family),
+        "data.classes": st.integers(5, 12),
+        "data.feature_dim": st.integers(1, 30),
+        "data.samples_per_node": st.integers(1, 50),
+        "data.spread": st.floats(0.0, 2.0),
+        "data.test_samples": st.integers(1, 500),
+        "hopping.alpha0": FINITE, "hopping.alpha1": FINITE,
+        "hopping.alpha2": FINITE, "hopping.decay": st.floats(0.0, 1e3),
+    }
+
+
+@st.composite
+def specs(draw):
+    """Valid specs drawn over every PARAMS row and every sweep axis."""
+    values = row_values(draw(st.sampled_from(("er", "dg", "pa"))))
+    assert set(values) == {p.path for p in PARAMS}
+    fields, hopping = {}, {}
+    for p in PARAMS:
+        value = draw(values[p.path])
+        if p.field.startswith("hopping."):
+            hopping[p.field.partition(".")[2]] = value
+        else:
+            fields[p.field] = value
+    by_axis = {p.axis: values[p.path] for p in PARAMS if p.axis}
+    by_axis["seed"] = st.integers(0, 10**6)
+    assert set(by_axis) == set(AXES)
+    sweep = {axis: tuple(draw(st.lists(by_axis[axis], max_size=2,
+                                       unique=True)))
+             for axis in draw(st.sets(st.sampled_from(AXES)))}
+    return ExperimentSpec(hopping=HoppingParams(**hopping),
+                          sweep=SweepAxes(**sweep), **fields)
+
+
+def test_readme_schema_lists_every_param():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = text.split("## Config schema (YAML)")[1].split("\n## ")[0]
+    rows = {re.match(r"\| `([^`]+)` \|", line).group(1): line
+            for line in table.splitlines()
+            if re.match(r"\| `[^`]+` \|", line)}
+    assert set(rows) == {p.path for p in PARAMS} | {"seeds", "sweep.<axis>"}
+    axes = re.findall(r"`(\w+)`", rows["sweep.<axis>"].split("|")[3])
+    assert tuple(axes) == AXES
 
 
 class TestExpansion:

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -237,6 +238,38 @@ class TestPlaceMaxspanHopping:
             sel = place_maxspan_hopping(g, 4, params,
                                         np.random.default_rng(seed))
             assert len(set(sel.members)) == 4
+
+    @pytest.mark.parametrize("alpha0", [1000.0, -1000.0])
+    def test_hops_end_without_decay(self, alpha0):
+        # with decay 0 a saturated logistic keeps the hop probability at
+        # 1.0 (alpha0 = 1000 saturates it where the boundary terms share a
+        # sign, -1000 where they differ); each adversary must stop after
+        # g.n hops instead of hopping forever
+        def timeout(signum, frame):
+            raise TimeoutError("hop loop did not end")
+
+        params = HoppingParams(alpha0=alpha0, decay=0.0)
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(20)
+        try:
+            capped = 0
+            for seed in range(20):
+                g = gen_directed_geometric(8, 0.5, np.random.default_rng(seed))
+                sel = place_maxspan_hopping(g, 2, params,
+                                            np.random.default_rng(seed))
+                assert len(set(sel.members)) == 2
+                assert all(len(hops) <= g.n for _, hops in sel.hop_trace)
+                capped += sum(len(hops) == g.n for _, hops in sel.hop_trace)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert capped > 0  # the inputs do reach the cap
+
+    @pytest.mark.parametrize("field", ["alpha0", "alpha1", "alpha2", "decay"])
+    def test_non_finite_params_rejected(self, field):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=field):
+                HoppingParams(**{field: value})
 
     def test_deterministic(self):
         g = gen_directed_geometric(20, 0.4, np.random.default_rng(9))

@@ -372,3 +372,15 @@ class TestConfigValidation:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             SimulationConfig(**{**TINY, "graph_family": "ring"})
+
+    def test_every_violation_in_one_error(self):
+        bad = dict(graph_family="ring", n_advs=10, t_attack=99, classes=1,
+                   classes_per_node=6, feature_dim=0, samples_per_node=0,
+                   test_samples=0, alpha=float("nan"), epsilon=-1.0,
+                   epsilon_scale=-1.0, local_iters=0, tracker_mixing="x",
+                   seed=-1)
+        with pytest.raises(ValueError) as err:
+            SimulationConfig(**{**TINY, **bad})
+        lines = str(err.value).splitlines()
+        assert sorted(line.partition(": ")[0] for line in lines) == \
+            sorted(bad)
