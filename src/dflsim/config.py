@@ -213,9 +213,6 @@ def parse_config_data(raw: Any, *, default_name: str = "experiment") -> Experime
             problems.append(str(exc))
         else:
             values[path] = tuple(items) if axis else items[0]
-            if len(set(items)) < len(items):
-                problems.append(f"{path}: repeated values in {items}; each "
-                                f"cell would run twice")
     kwargs = {"name": default_name}
     kwargs.update((p.field, values[p.path]) for p in PARAMS if p.path in values)
     kwargs.setdefault("output_dir", f"results/{kwargs['name']}")
@@ -285,14 +282,27 @@ def _validate(spec: ExperimentSpec, problems: list[str]) -> None:
                          spec.axis("graph_param"), spec.axis("n"))
                      if not 1 <= int(param) < n]
     if not problems:
-        for kwargs, _ in spec._grid():
+        # run_ids name the cells' files; the axes at whose positions two
+        # cells of one run_id differ are those whose values collide
+        firsts, clashes = {}, {}  # run_id: axis positions; path: run_id
+        positions = itertools.product(*(range(len(spec.axis(axis)))
+                                        for axis in AXES))
+        for position, (kwargs, fail) in zip(positions, spec._grid()):
             try:
-                SimulationConfig(**kwargs)
+                run_id = SweepCell(SimulationConfig(**kwargs), fail).run_id
             except ValueError as exc:
                 for line in str(exc).splitlines():
                     name, _, text = line.partition(": ")
                     problems.append(f"{_path(spec, name)}: {text}")
+                continue
+            first = firsts.setdefault(run_id, position)
+            for axis, i, j in zip(AXES, first, position):
+                if i != j:
+                    clashes.setdefault(_path(spec, axis), run_id)
         problems[:] = dict.fromkeys(problems)  # one line per distinct fault
+        problems += [f"{path}: cells share run_id {run_id!r}, so their "
+                     "outputs would overwrite each other"
+                     for path, run_id in clashes.items()]
 
 
 def parse_config(path) -> ExperimentSpec:

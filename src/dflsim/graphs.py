@@ -30,10 +30,6 @@ class ConvergenceError(GraphError):
         self.residual = residual
 
 
-class UnreachableError(GraphError):
-    """A shortest-path query hit an unreachable node pair."""
-
-
 class EmptyGraphError(GraphError):
     """A failure event removed every node."""
 
@@ -133,17 +129,12 @@ class GraphFamily:
         else:
             raise ValueError(f"unknown graph family {self.kind!r}")
 
-    def generate(self, n: int, rng: np.random.Generator, **kwargs) -> Graph:
+    def generate(self, n: int, rng: np.random.Generator) -> Graph:
         if self.kind == "er":
-            return gen_erdos_renyi(n, self.param, rng, **kwargs)
+            return gen_erdos_renyi(n, self.param, rng)
         if self.kind == "dg":
-            return gen_directed_geometric(n, self.param, rng, **kwargs)
-        return gen_preferential_attachment(n, int(self.param), rng, **kwargs)
-
-
-def complete_graph(n: int) -> Graph:
-    return graph_from_edges(
-        n, ((i, j) for i in range(n) for j in range(n) if i != j))
+            return gen_directed_geometric(n, self.param, rng)
+        return gen_preferential_attachment(n, int(self.param), rng)
 
 
 def circulant_graph(n: int, offsets: Iterable[int]) -> Graph:
@@ -168,11 +159,10 @@ def _er_edges(n: int, p: float, rng: np.random.Generator) -> frozenset:
 
 
 def gen_erdos_renyi(n: int, p: float, rng: np.random.Generator, *,
-                    require_strong_connectivity: bool = True,
                     max_retries: int = DEFAULT_RETRY_BUDGET) -> Graph:
     """Directed G(n, p): each ordered pair (i, j), i != j, is an edge w.p. p.
 
-    Redraws until the result is strongly connected (when required); raises
+    Redraws until the result is strongly connected; raises
     GenerationError once the retry budget runs out, which signals p is too
     small for the requested n.
     """
@@ -182,7 +172,7 @@ def gen_erdos_renyi(n: int, p: float, rng: np.random.Generator, *,
         raise ValueError(f"need 0 < p <= 1, got {p}")
     for _ in range(max_retries):
         g = Graph(n=n, edges=_er_edges(n, p, rng))
-        if not require_strong_connectivity or is_strongly_connected(g):
+        if is_strongly_connected(g):
             return g
     raise GenerationError(
         f"no strongly connected G({n}, {p}) in {max_retries} draws")
@@ -243,7 +233,6 @@ def _first_connected_draw(n: int, r: float, rng: np.random.Generator,
 
 
 def gen_directed_geometric(n: int, r: float, rng: np.random.Generator, *,
-                           require_strong_connectivity: bool = True,
                            max_retries: int = DEFAULT_RETRY_BUDGET) -> Graph:
     """Geometric graph on uniform points in the unit square, radius r.
 
@@ -254,10 +243,7 @@ def gen_directed_geometric(n: int, r: float, rng: np.random.Generator, *,
         raise ValueError(f"need n >= 2, got {n}")
     if not (0.0 < r <= math.sqrt(2.0)):
         raise ValueError(f"need 0 < r <= sqrt(2), got {r}")
-    if not require_strong_connectivity:
-        pos = rng.random((n, 2))
-    else:
-        pos = _first_connected_draw(n, r, rng, max_retries)
+    pos = _first_connected_draw(n, r, rng, max_retries)
     if pos is not None:
         return Graph(n=n, edges=geometric_edges(pos, r),
                      positions=tuple((float(x), float(y)) for x, y in pos))
@@ -267,7 +253,6 @@ def gen_directed_geometric(n: int, r: float, rng: np.random.Generator, *,
 
 
 def gen_preferential_attachment(n: int, m0: int, rng: np.random.Generator, *,
-                                require_strong_connectivity: bool = True,
                                 max_retries: int = DEFAULT_RETRY_BUDGET) -> Graph:
     """Preferential-attachment growth from m0 fully interconnected seeds.
 
@@ -304,7 +289,7 @@ def gen_preferential_attachment(n: int, m0: int, rng: np.random.Generator, *,
                 degree[v] += 2
                 degree[u] += 2
         g = Graph(n=n, edges=frozenset(edges))
-        if not require_strong_connectivity or is_strongly_connected(g):
+        if is_strongly_connected(g):
             return g
     raise GenerationError(
         f"no strongly connected PA graph (n={n}, m0={m0}) "
@@ -434,39 +419,6 @@ def bfs_cluster(g: Graph, root: int, s_cluster: int) -> frozenset[int]:
                     nxt.append(w)
         frontier = sorted(nxt)
     return frozenset(visited)
-
-
-def hop_distances(g: Graph, source: int) -> np.ndarray:
-    """Directed hop distance from source to every node (-1 if unreachable)."""
-    dist = np.full(g.n, -1, dtype=int)
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for w in g.out_neighbors[v]:
-                if dist[w] < 0:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return dist
-
-
-def total_pairwise_distance(g: Graph, nodes: Iterable[int]) -> int:
-    """Sum of shortest directed-hop distances d(i, j) over pairs i < j."""
-    members = sorted(set(int(v) for v in nodes))
-    total = 0
-    for idx, i in enumerate(members):
-        if idx == len(members) - 1:
-            break
-        dist = hop_distances(g, i)
-        for j in members[idx + 1:]:
-            if dist[j] < 0:
-                raise UnreachableError(f"no directed path {i} -> {j}")
-            total += int(dist[j])
-    return total
 
 
 def apply_failures(g: Graph, p_node: float, p_link: float,

@@ -33,6 +33,9 @@ class Dataset:
         return len(self.labels)
 
 
+# Model and loss_and_grad are the one-model form of the batched kernels
+# below. The reference rules in tests/oracles.py are built on them, and
+# perfbench/selftest.py checks its tracer on `simulation.loss_and_grad`.
 @dataclass(frozen=True, eq=False)
 class Model:
     """Linear softmax classifier: C x dim weight matrix plus C biases."""
@@ -172,35 +175,11 @@ def loss_and_grad(model: Model, data: Dataset) -> tuple[float, np.ndarray]:
     return loss, np.concatenate([grad_w.ravel(), grad_b])
 
 
-def input_gradient(model: Model, data: Dataset) -> np.ndarray:
-    """Gradient of the mean cross-entropy with respect to the features."""
-    probs = _softmax(data.features @ model.weights.T + model.bias)
-    dz = probs
-    dz[np.arange(data.n_samples), data.labels] -= 1.0
-    return (dz @ model.weights) / data.n_samples
-
-
-def fgsm_poison(data: Dataset, model: Model, epsilon: float) -> Dataset:
-    """Shift every feature by epsilon times the sign of its loss gradient."""
-    if epsilon < 0:
-        raise ValueError(f"attack power must be >= 0, got {epsilon}")
-    shifted = data.features + epsilon * np.sign(input_gradient(model, data))
-    return Dataset(features=shifted, labels=data.labels)
-
-
-def predict(model: Model, features: np.ndarray) -> np.ndarray:
-    return np.argmax(features @ model.weights.T + model.bias, axis=1)
-
-
-def accuracy(model: Model, data: Dataset) -> float:
-    return float(np.mean(predict(model, data.features) == data.labels))
-
-
 # Batched kernels over flat models stacked as (..., n, p) arrays. Row for
-# row they give the same bits as loss_and_grad, fgsm_poison and accuracy on
-# one Model: each row's products are the same BLAS calls, and padded shard
-# rows hold zero features and a zero output gradient, so they add exact
-# zeros to every sum.
+# row they give the same bits as loss_and_grad, and as fgsm_poison and
+# accuracy in tests/oracles.py, on one Model: each row's products are the
+# same BLAS calls, and padded shard rows hold zero features and a zero
+# output gradient, so they add exact zeros to every sum.
 
 @dataclass(frozen=True, eq=False)
 class ShardBatch:
@@ -264,7 +243,8 @@ def batch_grads(x: np.ndarray, batch: ShardBatch,
 
 def batch_poisoned_grads(x: np.ndarray, batch: ShardBatch,
                          epsilon: float) -> np.ndarray:
-    """loss_and_grad of each stacked model on fgsm_poison of its shard."""
+    """loss_and_grad of each stacked model on its shard after an FGSM step:
+    every feature moved epsilon along the sign of its loss gradient."""
     dz, w = _output_grad(x, batch, batch.features)
     poisoned = batch.features + epsilon * np.sign((dz @ w) / batch.counts)
     return batch_grads(x, batch, poisoned)
@@ -278,14 +258,3 @@ def batch_accuracy(x: np.ndarray, data: Dataset) -> np.ndarray:
         data.labels.shape + w.shape[:2])
     logits += b
     return (logits.argmax(axis=-1) == data.labels[:, None]).mean(axis=0)
-
-
-def train_centralized(data: Dataset, n_classes: int, alpha: float = 0.5,
-                      iters: int = 1500) -> Model:
-    """Plain gradient descent to convergence on pooled data (oracle use)."""
-    dim = data.features.shape[1]
-    theta = np.zeros(model_dim(n_classes, dim))
-    for _ in range(iters):
-        _, grad = loss_and_grad(Model.from_flat(theta, n_classes, dim), data)
-        theta -= alpha * grad
-    return Model.from_flat(theta, n_classes, dim)

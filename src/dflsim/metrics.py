@@ -44,6 +44,8 @@ def compute_aal(baseline: list[EpochMetrics], attacked: list[EpochMetrics],
     return total
 
 
+# Not on the sweep's path: a metric of its own for comparing two attacks
+# (README, Metrics), not a reference for one the program computes.
 def attack_advantage(aal_best: float, aal_next: float) -> float:
     """Relative advantage of the best attack over the next best, percent."""
     if aal_next == 0:

@@ -98,18 +98,6 @@ def influence_clusters(g: Graph, n_advs: int) -> list[frozenset[int]]:
     return [bfs_cluster(g, v, s_cluster) for v in range(g.n)]
 
 
-def greedy_overlap(g: Graph, members: tuple[int, ...],
-                   n_advs: Optional[int] = None) -> int:
-    """Accumulated influence-region overlap of a selection, in its order."""
-    clusters = influence_clusters(g, n_advs or len(members))
-    covered: set[int] = set()
-    total = 0
-    for a in members:
-        total += len(clusters[a] & covered)
-        covered |= clusters[a]
-    return total
-
-
 def place_maxspan(g: Graph, n_advs: int, rng: np.random.Generator, *,
                   first: Optional[int] = None) -> AdversarySet:
     """Greedy spread of adversaries by minimizing influence-region overlap.

@@ -14,22 +14,22 @@ its state after the failure event at t_attack + 1, its final state, and
 every node's test accuracy at every epoch. Each placement then advances
 only its attacked run from there, as one (node, parameter) stack, and
 reads its baseline trace, and its attacked trace through t_attack, from
-the memoised accuracies. `honest_step` and `adversary_step` are the
-per-node reference rules.
+the memoised accuracies. The per-node reference rules the tests check
+this engine against live in tests/oracles.py.
 """
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import learning
 from .graphs import EmptyGraphError, Graph, GraphFamily, apply_failures
-from .learning import (Dataset, Model, ShardBatch, batch_accuracy,
-                       batch_grads, batch_poisoned_grads, fgsm_poison,
-                       loss_and_grad, model_dim)
+from .learning import (Dataset, ShardBatch, batch_accuracy, batch_grads,
+                       batch_poisoned_grads, model_dim)
+from .learning import loss_and_grad  # unused; perfbench/selftest.py patches it
 from .metrics import EpochMetrics
 from .placement import HoppingParams, place
 
@@ -37,8 +37,7 @@ GRAPH_FAMILIES = ("er", "dg", "pa")
 TRACKER_MIXINGS = ("in_self", "literal_out")
 # the least value of each SimulationConfig field that has one
 _LEAST = {"classes": 2, "feature_dim": 1, "samples_per_node": 1,
-          "test_samples": 1, "local_iters": 1, "epsilon": 0,
-          "epsilon_scale": 0, "seed": 0}
+          "local_iters": 1, "epsilon": 0, "epsilon_scale": 0, "seed": 0}
 
 
 class SimulationError(RuntimeError):
@@ -88,6 +87,8 @@ class SimulationConfig:
                  "{t_attack} outside 0..{epochs} (epochs)"),
                 ("classes_per_node", 1 <= self.classes_per_node <= self.classes,
                  "{classes_per_node} outside 1..{classes} (classes)"),
+                ("test_samples", self.test_samples >= self.classes,
+                 "{test_samples} is below {classes} (classes)"),
                 ("alpha", self.alpha > 0, "{alpha} is not positive"),
                 ("tracker_mixing", self.tracker_mixing in TRACKER_MIXINGS,
                  "unknown mode {tracker_mixing!r}")):
@@ -111,46 +112,6 @@ def seed_streams(master: int) -> dict[str, np.random.Generator]:
 
 def build_graph(cfg: SimulationConfig, rng: np.random.Generator) -> Graph:
     return GraphFamily(cfg.graph_family, cfg.graph_param).generate(cfg.n, rng)
-
-
-def honest_step(i: int, g: Graph, x_prev: np.ndarray, y_prev: np.ndarray,
-                alpha: float, grad_fn: Callable[[np.ndarray], np.ndarray],
-                grad_prev: np.ndarray,
-                tracker_mixing: str = "in_self") -> tuple[np.ndarray, np.ndarray]:
-    """One honest update of node i from the epoch snapshot.
-
-    Model: average of in-neighbor models plus self, minus alpha times the
-    tracker. Tracker: mixed trackers plus the gradient difference at the
-    new and old local models. With `literal_out` the tracker mix runs over
-    out-neighbors without a self term. A node with an empty mixing set
-    degenerates to self-only weights.
-    """
-    in_set = list(g.in_neighbors[i]) + [i]
-    x_i = x_prev[in_set].mean(axis=0) - alpha * y_prev[i]
-    if tracker_mixing == "in_self":
-        mix_set = in_set
-    else:
-        mix_set = list(g.out_neighbors[i]) or [i]
-    y_mixed = y_prev[mix_set].mean(axis=0)
-    y_i = y_mixed + grad_fn(x_i) - grad_prev
-    return x_i, y_i
-
-
-def adversary_step(x_prev_i: np.ndarray, shard: Dataset, n_classes: int,
-                   dim: int, alpha: float,
-                   epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """One adversarial update: descend on the FGSM-poisoned shard, ignoring
-    all neighbors. The poisoned copy is rebuilt from the clean shard at the
-    current model. Returns the new model and the broadcast tracker (the
-    gradient of the poisoned loss at the new model)."""
-    model = Model.from_flat(x_prev_i, n_classes, dim)
-    poisoned = fgsm_poison(shard, model, epsilon)
-    _, grad = loss_and_grad(model, poisoned)
-    x = x_prev_i - alpha * grad
-    new_model = Model.from_flat(x, n_classes, dim)
-    poisoned = fgsm_poison(shard, new_model, epsilon)
-    _, tracker = loss_and_grad(new_model, poisoned)
-    return x, tracker
 
 
 def _slot_table(sets: Sequence[tuple[int, ...]]
@@ -217,8 +178,8 @@ class Run:
     def advance(self, epoch: int, adv: Optional[np.ndarray] = None,
                 epsilon: float = 0.0) -> None:
         """One synchronous epoch of every node from the current stacks;
-        the rows in mask `adv` take `adversary_step` at attack power
-        epsilon instead of `honest_step`."""
+        the rows in mask `adv` descend on their FGSM-poisoned shards at
+        attack power epsilon instead, ignoring their neighbors."""
         cfg = self.cfg
         x = _mix(self.X, self._x_table) - cfg.alpha * self.Y
         y_mixed = _mix(self.Y, self._y_table)
@@ -229,7 +190,7 @@ class Run:
             x = x - cfg.alpha * g_old
             g = batch_grads(x, self.batch)
             y = y + g - g_old
-        if adv is not None:  # adversary_step, local_iters times
+        if adv is not None:  # local_iters poisoned descent steps
             shards = self.batch.take(adv)
             xa = self.X[adv]
             ya = batch_poisoned_grads(xa, shards, epsilon)
@@ -286,10 +247,9 @@ def _run_adversary_free(cfg: SimulationConfig, graph: Graph) -> Baseline:
                                    cfg.spread, streams["data"])
     shards = learning.partition(train, cfg.n, cfg.classes_per_node,
                                 streams["data"])
-    test_per_class = max(1, cfg.test_samples // cfg.classes)
     test_set = learning.synth_dataset(cfg.classes, cfg.feature_dim,
-                                      test_per_class, cfg.spread,
-                                      streams["test"])
+                                      cfg.test_samples // cfg.classes,
+                                      cfg.spread, streams["test"])
     run = Run.start(cfg, graph, shards)
     acc = np.full((cfg.epochs + 1, cfg.n), np.nan)
     alive = np.ones(cfg.n, dtype=bool)

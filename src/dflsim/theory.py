@@ -63,20 +63,6 @@ def check_regular_symmetric(g: Graph) -> int:
     return d
 
 
-def consensus_only_step(x: np.ndarray, g: Graph, alpha: float,
-                        grads: np.ndarray) -> np.ndarray:
-    """One aggregation step x <- (E x) / d - alpha * grads.
-
-    No self term: each node averages exactly its neighbors. Valid only on
-    regular symmetric graphs, where E/d is doubly stochastic.
-    """
-    d = check_regular_symmetric(g)
-    mixed = np.zeros_like(x)
-    for i in range(g.n):
-        mixed[i] = x[list(g.out_neighbors[i])].sum(axis=0) / d
-    return mixed - alpha * grads
-
-
 @dataclass(frozen=True)
 class BoundScenario:
     """One verification cell: graph, adversary set, and loss data.
@@ -210,21 +196,6 @@ def _bound_trials(scenario: BoundScenario, trials: int,
         unbound[trial] = np.count_nonzero(
             (np.array(g_adv) > delta).any(axis=-1))
     return lhs, adv_term, hon_term, unbound
-
-
-def lower_bound_sides(scenario: BoundScenario, trials: int,
-                      rng: np.random.Generator) -> tuple[float, float]:
-    """Monte Carlo estimates of both sides of the stated impact inequality.
-
-    lhs is the expected squared Frobenius distance between attacked and
-    honest model stacks after the horizon; rhs is the centrality-weighted
-    adversarial term minus the honest drift term, alpha^2 (||a||^2 -
-    ||h||^2). Under the module's hypotheses only the corrected form
-    lhs >= alpha^2 (||a|| - ||h||)^2 is guaranteed; verify_lower_bound
-    reports both.
-    """
-    lhs, adv_term, hon_term, _ = _bound_trials(scenario, trials, rng)
-    return float(lhs.mean()), float(adv_term.mean() - hon_term.mean())
 
 
 def verify_lower_bound(scenarios: Sequence[BoundScenario], trials: int,

@@ -1,0 +1,169 @@
+"""Per-node reference rules that the tests check `dflsim` against.
+
+The program computes each rule one way: the engine as batched
+(node, parameter) stacks, the lemma check in matrix form, the placement
+strategies by BFS influence regions. The functions here compute the
+same quantities the plain way, one node, one model or one pair at a
+time, and nothing in `dflsim` calls them.
+"""
+from typing import Callable, Iterable, Optional
+
+import numpy as np
+
+from dflsim.graphs import Graph, GraphError, graph_from_edges
+from dflsim.learning import Dataset, Model, _softmax, loss_and_grad, model_dim
+from dflsim.placement import influence_clusters
+from dflsim.theory import check_regular_symmetric
+
+
+# ------------------------------ learning ------------------------------ #
+
+def input_gradient(model: Model, data: Dataset) -> np.ndarray:
+    """Gradient of the mean cross-entropy with respect to the features."""
+    probs = _softmax(data.features @ model.weights.T + model.bias)
+    dz = probs
+    dz[np.arange(data.n_samples), data.labels] -= 1.0
+    return (dz @ model.weights) / data.n_samples
+
+
+def fgsm_poison(data: Dataset, model: Model, epsilon: float) -> Dataset:
+    """Shift every feature by epsilon times the sign of its loss gradient."""
+    if epsilon < 0:
+        raise ValueError(f"attack power must be >= 0, got {epsilon}")
+    shifted = data.features + epsilon * np.sign(input_gradient(model, data))
+    return Dataset(features=shifted, labels=data.labels)
+
+
+def predict(model: Model, features: np.ndarray) -> np.ndarray:
+    return np.argmax(features @ model.weights.T + model.bias, axis=1)
+
+
+def accuracy(model: Model, data: Dataset) -> float:
+    return float(np.mean(predict(model, data.features) == data.labels))
+
+
+def train_centralized(data: Dataset, n_classes: int, alpha: float = 0.5,
+                      iters: int = 1500) -> Model:
+    """Plain gradient descent to convergence on pooled data (oracle use)."""
+    dim = data.features.shape[1]
+    theta = np.zeros(model_dim(n_classes, dim))
+    for _ in range(iters):
+        _, grad = loss_and_grad(Model.from_flat(theta, n_classes, dim), data)
+        theta -= alpha * grad
+    return Model.from_flat(theta, n_classes, dim)
+
+
+# ----------------------------- simulation ----------------------------- #
+
+def honest_step(i: int, g: Graph, x_prev: np.ndarray, y_prev: np.ndarray,
+                alpha: float, grad_fn: Callable[[np.ndarray], np.ndarray],
+                grad_prev: np.ndarray,
+                tracker_mixing: str = "in_self") -> tuple[np.ndarray, np.ndarray]:
+    """One honest update of node i from the epoch snapshot.
+
+    Model: average of in-neighbor models plus self, minus alpha times the
+    tracker. Tracker: mixed trackers plus the gradient difference at the
+    new and old local models. With `literal_out` the tracker mix runs over
+    out-neighbors without a self term. A node with an empty mixing set
+    degenerates to self-only weights.
+    """
+    in_set = list(g.in_neighbors[i]) + [i]
+    x_i = x_prev[in_set].mean(axis=0) - alpha * y_prev[i]
+    if tracker_mixing == "in_self":
+        mix_set = in_set
+    else:
+        mix_set = list(g.out_neighbors[i]) or [i]
+    y_mixed = y_prev[mix_set].mean(axis=0)
+    y_i = y_mixed + grad_fn(x_i) - grad_prev
+    return x_i, y_i
+
+
+def adversary_step(x_prev_i: np.ndarray, shard: Dataset, n_classes: int,
+                   dim: int, alpha: float,
+                   epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """One adversarial update: descend on the FGSM-poisoned shard, ignoring
+    all neighbors. The poisoned copy is rebuilt from the clean shard at the
+    current model. Returns the new model and the broadcast tracker (the
+    gradient of the poisoned loss at the new model)."""
+    model = Model.from_flat(x_prev_i, n_classes, dim)
+    poisoned = fgsm_poison(shard, model, epsilon)
+    _, grad = loss_and_grad(model, poisoned)
+    x = x_prev_i - alpha * grad
+    new_model = Model.from_flat(x, n_classes, dim)
+    poisoned = fgsm_poison(shard, new_model, epsilon)
+    _, tracker = loss_and_grad(new_model, poisoned)
+    return x, tracker
+
+
+# ------------------------------- theory ------------------------------- #
+
+def consensus_only_step(x: np.ndarray, g: Graph, alpha: float,
+                        grads: np.ndarray) -> np.ndarray:
+    """One aggregation step x <- (E x) / d - alpha * grads.
+
+    No self term: each node averages exactly its neighbors. Valid only on
+    regular symmetric graphs, where E/d is doubly stochastic.
+    """
+    d = check_regular_symmetric(g)
+    mixed = np.zeros_like(x)
+    for i in range(g.n):
+        mixed[i] = x[list(g.out_neighbors[i])].sum(axis=0) / d
+    return mixed - alpha * grads
+
+
+# ------------------------------- graphs ------------------------------- #
+
+class UnreachableError(GraphError):
+    """A shortest-path query hit an unreachable node pair."""
+
+
+def complete_graph(n: int) -> Graph:
+    return graph_from_edges(
+        n, ((i, j) for i in range(n) for j in range(n) if i != j))
+
+
+def hop_distances(g: Graph, source: int) -> np.ndarray:
+    """Directed hop distance from source to every node (-1 if unreachable)."""
+    dist = np.full(g.n, -1, dtype=int)
+    dist[source] = 0
+    frontier = [source]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for w in g.out_neighbors[v]:
+                if dist[w] < 0:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def total_pairwise_distance(g: Graph, nodes: Iterable[int]) -> int:
+    """Sum of shortest directed-hop distances d(i, j) over pairs i < j."""
+    members = sorted(set(int(v) for v in nodes))
+    total = 0
+    for idx, i in enumerate(members):
+        if idx == len(members) - 1:
+            break
+        dist = hop_distances(g, i)
+        for j in members[idx + 1:]:
+            if dist[j] < 0:
+                raise UnreachableError(f"no directed path {i} -> {j}")
+            total += int(dist[j])
+    return total
+
+
+# ------------------------------ placement ----------------------------- #
+
+def greedy_overlap(g: Graph, members: tuple[int, ...],
+                   n_advs: Optional[int] = None) -> int:
+    """Accumulated influence-region overlap of a selection, in its order."""
+    clusters = influence_clusters(g, n_advs or len(members))
+    covered: set[int] = set()
+    total = 0
+    for a in members:
+        total += len(clusters[a] & covered)
+        covered |= clusters[a]
+    return total

@@ -19,10 +19,9 @@ from dflsim.graphs import (
     bfs_cluster,
     gen_directed_geometric,
     gen_erdos_renyi,
-    hop_distances,
     is_strongly_connected,
 )
-from dflsim.learning import Dataset, accuracy, train_centralized
+from dflsim.learning import Dataset
 from dflsim.metrics import compute_aal
 from dflsim.placement import influence_clusters, place_centrality, place_maxspan
 from dflsim.simulation import (
@@ -35,6 +34,7 @@ from dflsim.simulation import (
 )
 from dflsim.sweep import run_experiment
 from dflsim.theory import complexity_probe, default_scenario_grid, verify_lower_bound
+from oracles import accuracy, hop_distances, train_centralized
 
 STRATEGIES = ("random", "eigen", "degree", "maxspan", "maxspan-hop")
 SEEDS = tuple(range(1, 21))

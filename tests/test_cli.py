@@ -349,6 +349,12 @@ class TestCliVerbs:
         ("output_dir: null", "output_dir"),
         ("sweep: {seed: [1, 1]}", "sweep.seed"),
         ("sweep: {strategy: [random, random]}", "sweep.strategy"),
+        ("sweep: {adversary_fraction: [0.2, 0.21]}",
+         "sweep.adversary_fraction"),
+        ("sweep: {epsilon: [250.0, 250.0000001]}", "sweep.epsilon"),
+        ("adversary_count: 3\nsweep: {adversary_fraction: [0.2, 0.3]}",
+         "sweep.adversary_fraction"),
+        ("data: {test_samples: 5}", "data.test_samples"),
         ("hopping: {decay: .nan}", "hopping.decay"),
         ("data: {classes: 5, classes_per_node: 6}",
          "data.classes_per_node"),

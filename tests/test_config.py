@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dflsim.config import (
@@ -121,6 +121,10 @@ class TestParsing:
         "output_dir: null",
         "sweep: {seed: [1, 1]}",
         "sweep: {strategy: [random, random]}",
+        "sweep: {adversary_fraction: [0.2, 0.21]}",
+        "sweep: {epsilon: [250.0, 250.0000001]}",
+        "{adversary_count: 3, sweep: {adversary_fraction: [0.2, 0.3]}}",
+        "data: {test_samples: 5}",
         "hopping: {decay: .nan}",
     ])
     def test_ill_typed_values_rejected(self, text):
@@ -179,7 +183,8 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def row_values(family: str) -> dict:
     """A strategy of valid values for every PARAMS row, by YAML path. The
     ranges keep every cross-field constraint (t_attack <= epochs,
-    classes_per_node <= classes, adversaries < n, pa size < n) true."""
+    classes_per_node <= classes, test_samples >= classes, adversaries < n,
+    pa size < n) true."""
     return {
         "name": NAMES, "output_dir": NAMES,
         "graph.param": (st.integers(1, 3).map(float) if family == "pa"
@@ -202,7 +207,7 @@ def row_values(family: str) -> dict:
         "data.feature_dim": st.integers(1, 30),
         "data.samples_per_node": st.integers(1, 50),
         "data.spread": st.floats(0.0, 2.0),
-        "data.test_samples": st.integers(1, 500),
+        "data.test_samples": st.integers(12, 500),
         "hopping.alpha0": FINITE, "hopping.alpha1": FINITE,
         "hopping.alpha2": FINITE, "hopping.decay": st.floats(0.0, 1e3),
     }
@@ -210,7 +215,8 @@ def row_values(family: str) -> dict:
 
 @st.composite
 def specs(draw):
-    """Valid specs drawn over every PARAMS row and every sweep axis."""
+    """Valid specs drawn over every PARAMS row and every sweep axis, whose
+    cells have distinct run_ids."""
     values = row_values(draw(st.sampled_from(("er", "dg", "pa"))))
     assert set(values) == {p.path for p in PARAMS}
     fields, hopping = {}, {}
@@ -226,8 +232,11 @@ def specs(draw):
     sweep = {axis: tuple(draw(st.lists(by_axis[axis], max_size=2,
                                        unique=True)))
              for axis in draw(st.sets(st.sampled_from(AXES)))}
-    return ExperimentSpec(hopping=HoppingParams(**hopping),
+    spec = ExperimentSpec(hopping=HoppingParams(**hopping),
                           sweep=SweepAxes(**sweep), **fields)
+    run_ids = [cell.run_id for cell in spec.cells()]
+    assume(len(set(run_ids)) == len(run_ids))
+    return spec
 
 
 def test_readme_schema_lists_every_param():

@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dflsim.graphs import (
     ConvergenceError,
     EmptyGraphError,
     GenerationError,
     Graph,
-    UnreachableError,
+    GraphFamily,
     apply_failures,
     bfs_cluster,
     circulant_graph,
     clustering_coefficients,
-    complete_graph,
     degree_centrality,
     degree_variance_normalized,
     eigenvector_centrality,
@@ -24,8 +25,12 @@ from dflsim.graphs import (
     graph_from_edges,
     graph_from_text,
     graph_to_text,
-    hop_distances,
     is_strongly_connected,
+)
+from oracles import (
+    UnreachableError,
+    complete_graph,
+    hop_distances,
     total_pairwise_distance,
 )
 
@@ -407,6 +412,23 @@ class TestSerialization:
         g = graph_from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 0)])
         assert graph_to_text(g) == ("n 3 directed\n0 1\n1 0\n1 2\n2 0\n")
 
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from((("er", 0.5), ("dg", 0.6), ("pa", 1), ("pa", 2))),
+           st.integers(3, 14), st.integers(0, 2**32 - 1),
+           st.sampled_from((0.0, 0.3)), st.sampled_from((0.0, 0.3)))
+    def test_round_trip_is_identity(self, family, n, seed, p_node, p_link):
+        # generated graphs, and what a failure event leaves of them, come
+        # back equal: node count, edges and positions to the last bit
+        rng = np.random.default_rng(seed)
+        graphs = [GraphFamily(*family).generate(n, rng)]
+        try:
+            graphs.append(apply_failures(graphs[0], p_node, p_link, rng)[0])
+        except EmptyGraphError:
+            pass
+        for g in graphs:
+            assert graph_from_text(graph_to_text(g)) == g
+
     def test_malformed_inputs(self):
         with pytest.raises(ValueError):
             graph_from_text("0 1\n1 0\n")
@@ -430,8 +452,6 @@ def test_pairwise_distance_ignores_enumeration_order():
 
 class TestGraphFamily:
     def test_parameter_ranges(self):
-        from dflsim.graphs import GraphFamily
-
         with pytest.raises(ValueError):
             GraphFamily("er", 0.0)
         with pytest.raises(ValueError):
@@ -442,8 +462,6 @@ class TestGraphFamily:
             GraphFamily("ring", 0.5)
 
     def test_generate_dispatch(self):
-        from dflsim.graphs import GraphFamily
-
         rng = np.random.default_rng(0)
         for kind, param in (("er", 0.4), ("dg", 0.6), ("pa", 2)):
             g = GraphFamily(kind, param).generate(10, rng)

@@ -7,15 +7,17 @@ from dflsim.learning import (
     Dataset,
     Model,
     PartitionError,
-    accuracy,
     class_means,
-    fgsm_poison,
-    input_gradient,
     loss_and_grad,
     model_dim,
     partition,
-    predict,
     synth_dataset,
+)
+from oracles import (
+    accuracy,
+    fgsm_poison,
+    input_gradient,
+    predict,
     train_centralized,
 )
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dflsim.metrics import EpochMetrics, MetricError, attack_advantage, compute_aal
 
@@ -88,3 +90,12 @@ class TestAttackAdvantage:
 def test_epoch_metrics_accuracy_bounds():
     with pytest.raises(MetricError):
         EpochMetrics(epoch=0, accuracy=1.2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+       st.integers(0, 39), st.integers(0, 5))
+def test_aal_of_identical_traces_is_zero(values, t_attack, start_epoch):
+    t = trace(values, start_epoch)
+    t_attack = min(t_attack, t[-1].epoch)
+    assert compute_aal(t, list(t), t_attack) == 0.0

@@ -6,7 +6,6 @@ import pytest
 from scipy import stats
 
 from dflsim.graphs import (
-    complete_graph,
     gen_directed_geometric,
     gen_erdos_renyi,
     graph_from_edges,
@@ -15,7 +14,6 @@ from dflsim.graphs import (
 from dflsim.placement import (
     AdversarySet,
     HoppingParams,
-    greedy_overlap,
     hop_probability,
     influence_clusters,
     place,
@@ -24,6 +22,7 @@ from dflsim.placement import (
     place_maxspan_hopping,
     place_random,
 )
+from oracles import complete_graph, greedy_overlap
 
 NO_HOP = HoppingParams(alpha0=1e6, alpha1=1.0, alpha2=1.0, decay=0.0)
 

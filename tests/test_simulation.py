@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from dflsim import simulation
-from dflsim.graphs import complete_graph, gen_directed_geometric, graph_from_edges
-from dflsim.learning import Dataset, Model, fgsm_poison, loss_and_grad
+from dflsim.graphs import gen_directed_geometric, graph_from_edges
+from dflsim.learning import Dataset, Model, loss_and_grad
 from dflsim.simulation import (
     Run,
     Simulation,
     SimulationConfig,
     SimulationError,
-    adversary_step,
     build_graph,
     clear_memo,
-    honest_step,
     run_simulation,
     seed_streams,
 )
+from oracles import adversary_step, complete_graph, fgsm_poison, honest_step
 
 TINY = dict(graph_family="dg", graph_param=0.6, n=10, epochs=12, t_attack=4,
             classes=5, feature_dim=8, samples_per_node=10, classes_per_node=5,

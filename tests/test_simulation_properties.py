@@ -19,10 +19,9 @@ from dflsim.simulation import (
     SimulationError,
     _mix,
     _slot_table,
-    adversary_step,
     clear_memo,
-    honest_step,
 )
+from oracles import adversary_step, honest_step
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None,

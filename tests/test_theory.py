@@ -3,10 +3,8 @@ import pytest
 
 from dflsim.graphs import (
     circulant_graph,
-    complete_graph,
     eigenvector_centrality,
     graph_from_edges,
-    total_pairwise_distance,
 )
 from dflsim.theory import (
     AssumptionError,
@@ -14,10 +12,13 @@ from dflsim.theory import (
     _bound_trials,
     check_regular_symmetric,
     complexity_probe,
-    consensus_only_step,
     default_scenario_grid,
-    lower_bound_sides,
     verify_lower_bound,
+)
+from oracles import (
+    complete_graph,
+    consensus_only_step,
+    total_pairwise_distance,
 )
 
 LADDER = circulant_graph(8, (1, 4))  # 3-regular, symmetric, non-bipartite
@@ -87,8 +88,8 @@ class TestConsensusOnlyStep:
 class TestBoundSides:
     def test_empty_adversary_set_both_zero(self):
         scenario = BoundScenario(graph=LADDER, adversaries=(), delta_min=1.0)
-        lhs, rhs = lower_bound_sides(scenario, 50, np.random.default_rng(0))
-        assert lhs == 0.0 and rhs == 0.0
+        row, = verify_lower_bound([scenario], 50, np.random.default_rng(0))
+        assert row.lhs == 0.0 and row.rhs == 0.0
 
     def test_never_binding_clamp_keeps_trajectories_equal(self):
         # delta below every gradient coordinate: attacked == honest run,
@@ -113,8 +114,8 @@ class TestBoundSides:
 
     def test_deterministic_given_seed(self):
         scenario = BoundScenario(graph=LADDER, adversaries=(0,), delta_min=1.0)
-        a = lower_bound_sides(scenario, 40, np.random.default_rng(7))
-        b = lower_bound_sides(scenario, 40, np.random.default_rng(7))
+        a = verify_lower_bound([scenario], 40, np.random.default_rng(7))
+        b = verify_lower_bound([scenario], 40, np.random.default_rng(7))
         assert a == b
 
     def test_perron_vector_fixed_point(self):
