@@ -155,6 +155,18 @@ def partition(dataset: Dataset, n_nodes: int, classes_per_node: int,
     return shards
 
 
+def least_per_class(n_nodes: int, n_classes: int,
+                    classes_per_node: int) -> int:
+    """The fewest samples of each class with which `partition` gives every
+    node a sample, whatever the shuffles."""
+    if classes_per_node == n_classes:  # even chunks of the whole set
+        return -(-n_nodes // n_classes)
+    # slot s = node * classes_per_node + r makes the node owner number
+    # s // n_classes of its class, and owners past the class's sample count
+    # get none; the last node's first slot holds the highest least number
+    return (n_nodes - 1) * classes_per_node // n_classes + 1
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)

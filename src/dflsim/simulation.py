@@ -94,8 +94,25 @@ class SimulationConfig:
                  "unknown mode {tracker_mixing!r}")):
             if not ok:
                 problems.append(f"{name}: " + text.format(**vars(self)))
+        if not problems:  # so the fields the data split reads are sound
+            least = learning.least_per_class(self.n, self.classes,
+                                             self.classes_per_node)
+            if self.per_class < least:
+                problems.append(
+                    f"samples_per_node: {self.samples_per_node} gives "
+                    f"{self.per_class} training samples per class, and "
+                    f"{self.n} nodes holding {self.classes_per_node} of "
+                    f"{self.classes} classes each need {least} for every "
+                    "node to get one")
         if problems:
             raise ValueError("\n".join(problems))
+
+    @property
+    def per_class(self) -> int:
+        """Training samples of each class: n * samples_per_node / classes,
+        rounded, and at least 1. The nodes' shards split them, so a shard
+        holds about samples_per_node samples."""
+        return max(1, round(self.n * self.samples_per_node / self.classes))
 
     @property
     def effective_epsilon(self) -> float:
@@ -127,12 +144,10 @@ def _mix(v: np.ndarray, table) -> np.ndarray:
     """Row-stochastic mix of a stack v (..., n, p): each row sums its set
     slot by slot, in set order, from +0.0 as np.mean's sum does, then
     divides by the set size, giving the bits of `v[..., set, :].mean(-2)`.
-    Padding slots add zeros; temporaries stay the size of v."""
+    Padding slots add zeros."""
     idx, sizes = table
     padded = np.concatenate([v, np.zeros_like(v[..., :1, :])], axis=-2)
-    acc = padded[..., idx[0], :] + 0.0  # np.add.reduce starts from +0.0
-    for j in idx[1:]:
-        acc += padded[..., j, :]
+    acc = np.add.reduce(padded.take(idx, axis=-2), axis=-3, initial=0.0)
     acc /= sizes
     return acc
 
@@ -141,12 +156,18 @@ class Run:
     """One training run on its current graph, as (node, parameter) stacks:
     models X, trackers Y and the local gradients G the trackers last
     added. `advance` replaces the stacks and never writes into them, so a
-    shallow copy of a run continues independently of it."""
+    shallow copy of a run continues independently of it.
+
+    An attacked run (see `attacked`) also holds its adversaries: their row
+    mask, their shards and the attack power. Their rows of G hold the
+    poisoned gradient at their rows of X, which their next descent step
+    starts from."""
 
     def __init__(self, cfg: SimulationConfig, graph: Graph, batch: ShardBatch,
                  X: np.ndarray, Y: np.ndarray, G: np.ndarray):
         self.cfg, self.graph, self.batch = cfg, graph, batch
         self.X, self.Y, self.G = X, Y, G
+        self.attack: Optional[tuple[np.ndarray, ShardBatch, float]] = None
         self._x_table = _slot_table([graph.in_neighbors[i] + (i,)
                                      for i in range(graph.n)])
         self._y_table = (self._x_table if cfg.tracker_mixing == "in_self"
@@ -175,11 +196,19 @@ class Run:
         return Run(cfg, graph, self.batch.take(keep),
                    *(a[keep] for a in (self.X, self.Y, self.G))), keep
 
-    def advance(self, epoch: int, adv: Optional[np.ndarray] = None,
-                epsilon: float = 0.0) -> None:
-        """One synchronous epoch of every node from the current stacks;
-        the rows in mask `adv` descend on their FGSM-poisoned shards at
-        attack power epsilon instead, ignoring their neighbors."""
+    def attacked(self, adv: np.ndarray, epsilon: float) -> "Run":
+        """A copy of the run whose rows in mask `adv`, from the next epoch
+        on, descend on their FGSM-poisoned shards at attack power epsilon
+        instead, ignoring their neighbors."""
+        run = copy.copy(self)
+        shards = self.batch.take(adv)
+        run.attack = adv, shards, epsilon
+        run.G = self.G.copy()
+        run.G[adv] = batch_poisoned_grads(self.X[adv], shards, epsilon)
+        return run
+
+    def advance(self, epoch: int) -> None:
+        """One synchronous epoch of every node from the current stacks."""
         cfg = self.cfg
         x = _mix(self.X, self._x_table) - cfg.alpha * self.Y
         y_mixed = _mix(self.Y, self._y_table)
@@ -190,10 +219,9 @@ class Run:
             x = x - cfg.alpha * g_old
             g = batch_grads(x, self.batch)
             y = y + g - g_old
-        if adv is not None:  # local_iters poisoned descent steps
-            shards = self.batch.take(adv)
-            xa = self.X[adv]
-            ya = batch_poisoned_grads(xa, shards, epsilon)
+        if self.attack is not None:  # local_iters poisoned descent steps
+            adv, shards, epsilon = self.attack
+            xa, ya = self.X[adv], self.G[adv]
             for _ in range(cfg.local_iters):
                 xa = xa - cfg.alpha * ya
                 ya = batch_poisoned_grads(xa, shards, epsilon)
@@ -242,8 +270,7 @@ def adversary_free(cfg: SimulationConfig) -> SimulationConfig:
 
 def _run_adversary_free(cfg: SimulationConfig, graph: Graph) -> Baseline:
     streams = seed_streams(cfg.seed)
-    per_class = max(1, round(cfg.n * cfg.samples_per_node / cfg.classes))
-    train = learning.synth_dataset(cfg.classes, cfg.feature_dim, per_class,
+    train = learning.synth_dataset(cfg.classes, cfg.feature_dim, cfg.per_class,
                                    cfg.spread, streams["data"])
     shards = learning.partition(train, cfg.n, cfg.classes_per_node,
                                 streams["data"])
@@ -342,12 +369,12 @@ class Simulation:
             raise base.error  # before the attack, or the failure event
         run, attacked = base.end, []
         if self.adversaries is not None and t < cfg.epochs:
-            run = copy.copy(base.start)
             adv = ~self.counted[base.alive]
+            run = base.start.attacked(adv, cfg.effective_epsilon)
             for epoch in range(t + 1, cfg.epochs + 1):
                 if epoch == len(base.acc):
                     raise base.error
-                run.advance(epoch, adv, cfg.effective_epsilon)
+                run.advance(epoch)
                 attacked.append(_metrics(epoch, batch_accuracy(
                     run.X[~adv], base.test_set)))
         if base.error is not None:

@@ -145,56 +145,74 @@ class BoundResult:
         return self.unbound_steps == 0
 
 
+# trials stepped together; blocks keep the stacks to tens of kB on the
+# default grid however many trials run
+_BLOCK = 25
+
+
 def _bound_trials(scenario: BoundScenario, trials: int,
                   rng: np.random.Generator
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (lhs, adversary-term, honest-term) samples, plus per trial
     the number of adversary steps at which the floor did not bind (some
-    coordinate of the attacked gradient already above delta)."""
+    coordinate of the attacked gradient already above delta).
+
+    Blocks of trials advance together as (run, trial, node, dim) stacks,
+    run 0 attacked and run 1 its honest twin. Each trial draws its
+    minibatches in one call, trial by trial, and every number is summed
+    in the order, and so to the bits, of stepping one trial at a time.
+    """
     g = scenario.graph
-    n, p = g.n, scenario.dim
-    d = check_regular_symmetric(g)
-    e = g.adjacency_matrix()
-    m = e / d
+    n, p, steps = g.n, scenario.dim, scenario.horizon + 1
+    m = g.adjacency_matrix() / check_regular_symmetric(g)
     adv = np.array(sorted(scenario.adversaries), dtype=int)
-    adv_mask = np.zeros(n, dtype=bool)
-    adv_mask[adv] = True
-    hon_mask = ~adv_mask
+    hon = np.delete(np.arange(n), adv)
     v = eigenvector_centrality(g)
-    v_adv, v_hon = v[adv_mask, None], v[hon_mask, None]
-    targets = scenario.targets()
-    alpha = scenario.alpha
-    delta = scenario.delta_min
+    v_adv, v_hon = v[adv, None], v[hon, None]
+    # node i's targets are rows i * n_samples.. of one (row, dim) table
+    targets = scenario.targets().reshape(-1, p)
+    first_row = np.arange(n)[:, None] * scenario.n_samples
+    row_type = np.min_scalar_type(len(targets) - 1)
+    # np.mean sums one trial's (node, sample, dim) gather pairwise over
+    # the samples when dim is 1 (they are then its inner loop), else one
+    # sample after another; stacked, the samples go where they get the
+    # same order: last for dim 1, else first
+    sample_axis = 2 if p == 1 else 0
+    order = (0, 1, 2) if p == 1 else (2, 0, 1)  # of the table's axes
+    alpha, delta = scenario.alpha, scenario.delta_min
+    draw = (steps, n, scenario.batch_size)
 
     lhs = np.empty(trials)
     adv_term = np.empty(trials)
     hon_term = np.empty(trials)
-    unbound = np.empty(trials, dtype=int)
-    for trial in range(trials):
-        batches = rng.integers(0, scenario.n_samples,
-                               size=(scenario.horizon + 1, n,
-                                     scenario.batch_size))
-        x_att = np.zeros((n, p))
-        x_hon = np.zeros((n, p))
-        s_adv = np.zeros(p)
-        s_hon = np.zeros(p)
-        g_adv = []  # the adversaries' gradients before the floor
-        for step in range(scenario.horizon + 1):
-            batch_means = np.take_along_axis(
-                targets, batches[step][:, :, None], axis=1).mean(axis=1)
-            g_att = x_att - batch_means
-            g_hon = x_hon - batch_means
-            g_adv.append(g_att[adv_mask])
-            g_att[adv_mask] = np.maximum(g_adv[-1], delta)
-            s_adv += (v_adv * (delta - g_hon[adv_mask])).sum(axis=0)
-            s_hon += (v_hon * (g_att[hon_mask] - g_hon[hon_mask])).sum(axis=0)
-            x_att = m @ x_att - alpha * g_att
-            x_hon = m @ x_hon - alpha * g_hon
-        lhs[trial] = np.sum((x_att - x_hon) ** 2)
-        adv_term[trial] = alpha ** 2 * np.sum(s_adv ** 2)
-        hon_term[trial] = alpha ** 2 * np.sum(s_hon ** 2)
-        unbound[trial] = np.count_nonzero(
-            (np.array(g_adv) > delta).any(axis=-1))
+    unbound = np.zeros(trials, dtype=int)
+    table = np.empty((steps, min(trials, _BLOCK)) + draw[1:], dtype=row_type)
+    for lo in range(0, trials, _BLOCK):
+        block = slice(lo, min(lo + _BLOCK, trials))
+        b = block.stop - lo
+        rows = table[:, :b]  # (step, trial, node, sample) target rows
+        for t in range(b):
+            rows[:, t] = (rng.integers(0, scenario.n_samples, size=draw)
+                          + first_row)
+        x = np.zeros((2, b, n, p))
+        s_adv = np.zeros((b, p))
+        s_hon = np.zeros((b, p))
+        for step in range(steps):
+            grads = x - targets.take(rows[step].transpose(order),
+                                     axis=0).mean(axis=sample_axis)
+            g_att, g_hon = grads
+            # `take` keeps node-major layouts, so each sum over nodes runs
+            # in one trial's order (`g[:, nodes]` would put nodes first)
+            g_adv = g_att.take(adv, axis=1)  # before the floor
+            unbound[block] += (g_adv > delta).any(axis=-1).sum(axis=-1)
+            g_att[:, adv] = np.maximum(g_adv, delta)
+            s_adv += (v_adv * (delta - g_hon.take(adv, axis=1))).sum(axis=1)
+            s_hon += (v_hon * (g_att.take(hon, axis=1)
+                               - g_hon.take(hon, axis=1))).sum(axis=1)
+            x = m @ x - alpha * grads
+        lhs[block] = ((x[0] - x[1]) ** 2).reshape(b, -1).sum(axis=1)
+        adv_term[block] = alpha ** 2 * (s_adv ** 2).sum(axis=1)
+        hon_term[block] = alpha ** 2 * (s_hon ** 2).sum(axis=1)
     return lhs, adv_term, hon_term, unbound
 
 

@@ -1,19 +1,23 @@
 """Per-node reference rules that the tests check `dflsim` against.
 
 The program computes each rule one way: the engine as batched
-(node, parameter) stacks, the lemma check in matrix form, the placement
-strategies by BFS influence regions. The functions here compute the
-same quantities the plain way, one node, one model or one pair at a
-time, and nothing in `dflsim` calls them.
+(node, parameter) stacks, the lemma check as stacked blocks of trials,
+the placement strategies by BFS influence regions. The functions here
+compute the same quantities the plain way, one node, one model, one
+trial or one pair at a time, or recompute what the program carries
+over, and nothing in `dflsim` calls them.
 """
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from dflsim.graphs import Graph, GraphError, graph_from_edges
-from dflsim.learning import Dataset, Model, _softmax, loss_and_grad, model_dim
+from dflsim.graphs import (Graph, GraphError, eigenvector_centrality,
+                           graph_from_edges)
+from dflsim.learning import (Dataset, Model, _softmax, batch_grads,
+                             batch_poisoned_grads, loss_and_grad, model_dim)
 from dflsim.placement import influence_clusters
-from dflsim.theory import check_regular_symmetric
+from dflsim.simulation import Run, SimulationError, _mix
+from dflsim.theory import BoundScenario, check_regular_symmetric
 
 
 # ------------------------------ learning ------------------------------ #
@@ -95,6 +99,33 @@ def adversary_step(x_prev_i: np.ndarray, shard: Dataset, n_classes: int,
     return x, tracker
 
 
+def advance_recomputing(run: Run, epoch: int, adv: np.ndarray,
+                        epsilon: float) -> None:
+    """`Run.advance` of an attacked run, with the adversaries' shards taken
+    and their poisoned gradient recomputed from their models every epoch
+    instead of carried in the run's G."""
+    cfg = run.cfg
+    x = _mix(run.X, run._x_table) - cfg.alpha * run.Y
+    y_mixed = _mix(run.Y, run._y_table)
+    g = batch_grads(x, run.batch)
+    y = y_mixed + g - run.G
+    for _ in range(cfg.local_iters - 1):
+        g_old = g
+        x = x - cfg.alpha * g_old
+        g = batch_grads(x, run.batch)
+        y = y + g - g_old
+    shards = run.batch.take(adv)
+    xa = run.X[adv]
+    ya = batch_poisoned_grads(xa, shards, epsilon)
+    for _ in range(cfg.local_iters):
+        xa = xa - cfg.alpha * ya
+        ya = batch_poisoned_grads(xa, shards, epsilon)
+    x[adv], y[adv], g[adv] = xa, ya, ya
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise SimulationError(f"non-finite model state at epoch {epoch}")
+    run.X, run.Y, run.G = x, y, g
+
+
 # ------------------------------- theory ------------------------------- #
 
 def consensus_only_step(x: np.ndarray, g: Graph, alpha: float,
@@ -109,6 +140,60 @@ def consensus_only_step(x: np.ndarray, g: Graph, alpha: float,
     for i in range(g.n):
         mixed[i] = x[list(g.out_neighbors[i])].sum(axis=0) / d
     return mixed - alpha * grads
+
+
+def bound_trials(scenario: BoundScenario, trials: int,
+                 rng: np.random.Generator
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`theory._bound_trials` one trial and one step at a time: per-trial
+    (lhs, adversary-term, honest-term) samples, plus per trial the number
+    of adversary steps at which the floor did not bind (some coordinate of
+    the attacked gradient already above delta)."""
+    g = scenario.graph
+    n, p = g.n, scenario.dim
+    d = check_regular_symmetric(g)
+    e = g.adjacency_matrix()
+    m = e / d
+    adv = np.array(sorted(scenario.adversaries), dtype=int)
+    adv_mask = np.zeros(n, dtype=bool)
+    adv_mask[adv] = True
+    hon_mask = ~adv_mask
+    v = eigenvector_centrality(g)
+    v_adv, v_hon = v[adv_mask, None], v[hon_mask, None]
+    targets = scenario.targets()
+    alpha = scenario.alpha
+    delta = scenario.delta_min
+
+    lhs = np.empty(trials)
+    adv_term = np.empty(trials)
+    hon_term = np.empty(trials)
+    unbound = np.empty(trials, dtype=int)
+    for trial in range(trials):
+        batches = rng.integers(0, scenario.n_samples,
+                               size=(scenario.horizon + 1, n,
+                                     scenario.batch_size))
+        x_att = np.zeros((n, p))
+        x_hon = np.zeros((n, p))
+        s_adv = np.zeros(p)
+        s_hon = np.zeros(p)
+        g_adv = []  # the adversaries' gradients before the floor
+        for step in range(scenario.horizon + 1):
+            batch_means = np.take_along_axis(
+                targets, batches[step][:, :, None], axis=1).mean(axis=1)
+            g_att = x_att - batch_means
+            g_hon = x_hon - batch_means
+            g_adv.append(g_att[adv_mask])
+            g_att[adv_mask] = np.maximum(g_adv[-1], delta)
+            s_adv += (v_adv * (delta - g_hon[adv_mask])).sum(axis=0)
+            s_hon += (v_hon * (g_att[hon_mask] - g_hon[hon_mask])).sum(axis=0)
+            x_att = m @ x_att - alpha * g_att
+            x_hon = m @ x_hon - alpha * g_hon
+        lhs[trial] = np.sum((x_att - x_hon) ** 2)
+        adv_term[trial] = alpha ** 2 * np.sum(s_adv ** 2)
+        hon_term[trial] = alpha ** 2 * np.sum(s_hon ** 2)
+        unbound[trial] = np.count_nonzero(
+            (np.array(g_adv) > delta).any(axis=-1))
+    return lhs, adv_term, hon_term, unbound
 
 
 # ------------------------------- graphs ------------------------------- #

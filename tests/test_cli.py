@@ -355,6 +355,9 @@ class TestCliVerbs:
         ("adversary_count: 3\nsweep: {adversary_fraction: [0.2, 0.3]}",
          "sweep.adversary_fraction"),
         ("data: {test_samples: 5}", "data.test_samples"),
+        ("data: {samples_per_node: 1}", "data.samples_per_node"),
+        ("data: {samples_per_node: 2, classes_per_node: 4}",
+         "data.samples_per_node"),
         ("hopping: {decay: .nan}", "hopping.decay"),
         ("data: {classes: 5, classes_per_node: 6}",
          "data.classes_per_node"),

@@ -125,6 +125,7 @@ class TestParsing:
         "sweep: {epsilon: [250.0, 250.0000001]}",
         "{adversary_count: 3, sweep: {adversary_fraction: [0.2, 0.3]}}",
         "data: {test_samples: 5}",
+        "data: {samples_per_node: 1}",
         "hopping: {decay: .nan}",
     ])
     def test_ill_typed_values_rejected(self, text):
@@ -184,7 +185,7 @@ def row_values(family: str) -> dict:
     """A strategy of valid values for every PARAMS row, by YAML path. The
     ranges keep every cross-field constraint (t_attack <= epochs,
     classes_per_node <= classes, test_samples >= classes, adversaries < n,
-    pa size < n) true."""
+    pa size < n, a training sample for every node) true."""
     return {
         "name": NAMES, "output_dir": NAMES,
         "graph.param": (st.integers(1, 3).map(float) if family == "pa"
@@ -205,7 +206,8 @@ def row_values(family: str) -> dict:
         "graph.family": st.just(family),
         "data.classes": st.integers(5, 12),
         "data.feature_dim": st.integers(1, 30),
-        "data.samples_per_node": st.integers(1, 50),
+        # 6 gives every node a sample at any n, classes and split drawn here
+        "data.samples_per_node": st.integers(6, 50),
         "data.spread": st.floats(0.0, 2.0),
         "data.test_samples": st.integers(12, 500),
         "hopping.alpha0": FINITE, "hopping.alpha1": FINITE,

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dflsim.learning import (
     Dataset,
     Model,
     PartitionError,
     class_means,
+    least_per_class,
     loss_and_grad,
     model_dim,
     partition,
@@ -106,6 +109,22 @@ class TestPartition:
                      labels=np.array([0, 1]))
         with pytest.raises(PartitionError):
             partition(ds, 5, 2, np.random.default_rng(0))
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(2, 8).flatmap(lambda classes: st.tuples(
+        st.integers(1, 30), st.just(classes), st.integers(1, classes),
+        st.integers(1, 12), st.integers(0, 2 ** 32 - 1))))
+    def test_least_per_class_is_the_split_threshold(self, case):
+        n, classes, per_node, per_class, seed = case
+        rng = np.random.default_rng(seed)
+        ds = synth_dataset(classes, 1, per_class, 0.2, rng)
+        try:
+            partition(ds, n, per_node, rng)
+            split = True
+        except PartitionError:
+            split = False
+        assert split == (per_class >= least_per_class(n, classes, per_node))
 
     def test_invalid_classes_per_node(self):
         ds = synth_dataset(4, 3, 5, 0.2, np.random.default_rng(8))

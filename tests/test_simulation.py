@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 
@@ -208,9 +206,10 @@ class TestRunSimulation:
         for epoch in range(1, cfg.t_attack + 3):
             if epoch == cfg.t_attack + 1:
                 assert run.X.tobytes() == sim.base.start.X.tobytes()
-                run, adv = copy.copy(sim.base.start), ~sim.counted
+                adv = ~sim.counted
+                run = sim.base.start.attacked(adv, cfg.effective_epsilon)
             x_prev, y_prev, g_prev = run.X, run.Y, run.G
-            run.advance(epoch, adv, cfg.effective_epsilon)
+            run.advance(epoch)
             for i in reversed(range(cfg.n)):
                 if adv is not None and adv[i]:
                     xi, yi = adversary_step(

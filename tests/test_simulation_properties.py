@@ -7,11 +7,11 @@ failures with ragged non-IID shards, and runs without adversaries.
 import copy
 
 import numpy as np
-from hypothesis import HealthCheck, example, given, reject, settings
+from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from dflsim.graphs import GenerationError
-from dflsim.learning import Model, PartitionError, loss_and_grad
+from dflsim.learning import Model, batch_accuracy, loss_and_grad
 from dflsim.simulation import (
     Run,
     Simulation,
@@ -21,7 +21,7 @@ from dflsim.simulation import (
     _slot_table,
     clear_memo,
 )
-from oracles import adversary_step, honest_step
+from oracles import advance_recomputing, adversary_step, honest_step
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None,
@@ -46,7 +46,7 @@ def small_configs(draw):
     classes = draw(st.integers(2, 4))
     epochs = draw(st.integers(1, 6))
     family = draw(st.sampled_from(("dg", "er")))
-    return SimulationConfig(
+    kwargs = dict(
         graph_family=family,
         graph_param=draw(st.sampled_from((0.6, 0.8) if family == "dg"
                                          else (0.5, 0.7))),
@@ -63,12 +63,16 @@ def small_configs(draw):
         p_link_fail=draw(st.sampled_from((0.0, 0.2))),
         tracker_mixing=draw(st.sampled_from(("in_self", "literal_out"))),
         seed=draw(st.integers(0, 10_000)))
+    try:
+        return SimulationConfig(**kwargs)
+    except ValueError:  # too few samples for every node to get one
+        reject()
 
 
 def build(cfg):
     try:
         return Simulation(cfg)
-    except (GenerationError, PartitionError):
+    except GenerationError:
         reject()
 
 
@@ -118,11 +122,12 @@ def test_every_epoch_matches_per_node_oracle(cfg):
             assert prefix.tobytes() == base.start.X.tobytes()
             shards = [shards[v] for v in np.flatnonzero(base.alive)]
             adv = ~sim.counted[base.alive] if cfg.n_advs else None
-            runs = [(copy.copy(base.start), adv),
-                    (copy.copy(base.start), None)]
+            attacked = (base.start.attacked(adv, cfg.effective_epsilon)
+                        if cfg.n_advs else copy.copy(base.start))
+            runs = [(attacked, adv), (copy.copy(base.start), None)]
         for run, adv in runs:
             expect = oracle_epoch(run, shards, cfg, adv)
-            run.advance(epoch, adv, cfg.effective_epsilon)
+            run.advance(epoch)
             for got, want in zip((run.X, run.Y, run.G), expect):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     # the stepped runs end where the simulation's own runs ended
@@ -132,6 +137,30 @@ def test_every_epoch_matches_per_node_oracle(cfg):
     except SimulationError:  # every counted node failed: no attacked trace
         return
     assert runs[0][0].X.tobytes() == sim.final.X.tobytes()
+
+
+@PROPERTY
+@given(small_configs())
+@example(PINNED[0])
+def test_carried_poisoned_gradient_gives_the_recomputed_bits(cfg):
+    # the attacked run reads its adversaries' poisoned gradient from G;
+    # recomputing it from their models every epoch gives the same bytes
+    assume(cfg.n_advs > 0 and cfg.t_attack < cfg.epochs)
+    sim = build(cfg)
+    try:
+        attacked, _ = sim.run()
+    except SimulationError:  # every node, or every counted node, failed
+        reject()
+    base = sim.base
+    adv = ~sim.counted[base.alive]
+    run, trace = copy.copy(base.start), []
+    for epoch in range(cfg.t_attack + 1, cfg.epochs + 1):
+        advance_recomputing(run, epoch, adv, cfg.effective_epsilon)
+        accs = batch_accuracy(run.X[~adv], base.test_set)
+        trace.append(float(np.mean(accs)).hex())
+    assert [m.accuracy.hex() for m in attacked[cfg.t_attack + 1:]] == trace
+    for a in ("X", "Y", "G"):
+        assert getattr(sim.final, a).tobytes() == getattr(run, a).tobytes(), a
 
 
 def mixing_matrix(table, n):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dflsim.graphs import (
     circulant_graph,
@@ -16,6 +18,7 @@ from dflsim.theory import (
     verify_lower_bound,
 )
 from oracles import (
+    bound_trials,
     complete_graph,
     consensus_only_step,
     total_pairwise_distance,
@@ -179,6 +182,47 @@ class TestBoundSides:
         assert {len(s.adversaries) for s in grid} == {1, 2, 3}
         assert {s.delta_min for s in grid} == {0.5, 1.0, 2.0}
         assert all(s.horizon == 20 for s in grid)
+
+
+@st.composite
+def bound_cases(draw):
+    """A scenario on a circulant regular graph, a trial count and a seed."""
+    n = draw(st.integers(2, 12))
+    offsets = {1} | draw(st.sets(st.integers(2, max(2, n // 2)), max_size=2))
+    n_samples = draw(st.integers(1, 30))
+    scenario = BoundScenario(
+        graph=circulant_graph(n, sorted(offsets)),
+        adversaries=tuple(draw(st.sets(st.integers(0, n - 1)))),
+        delta_min=draw(st.sampled_from((-50.0, 0.0, 0.05, 0.5, 2.0))),
+        horizon=draw(st.integers(0, 6)), dim=draw(st.integers(1, 3)),
+        n_samples=n_samples, batch_size=draw(st.integers(1, n_samples)),
+        data_scale=draw(st.sampled_from((0.1, 1.0, 10.0))),
+        data_seed=draw(st.integers(0, 2 ** 16)))
+    return scenario, draw(st.integers(1, 60)), draw(st.integers(0, 2 ** 32))
+
+
+def _case(advs, trials, n=8, offsets=(1, 4), **kw):
+    return (BoundScenario(graph=circulant_graph(n, offsets), adversaries=advs,
+                          **{"delta_min": 1.0, "horizon": 6, **kw}), trials, 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(bound_cases())
+@example(_case((0, 1, 2), 60))  # the default grid's graph, 2.4 blocks
+@example(_case((), 26))  # no adversaries, one trial past a block
+@example(_case((0, 1), 50, delta_min=-50.0))  # a floor that never binds
+# dim 1, 8 adversaries and 14-sample batches: sums numpy adds pairwise
+@example(_case(tuple(range(8)), 30, n=10, offsets=(1, 2, 3, 4, 5), dim=1,
+               n_samples=14, batch_size=14))
+def test_stacked_trials_give_the_per_trial_bits(case):
+    scenario, trials, seed = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _bound_trials(scenario, trials, rng)
+    want = bound_trials(scenario, trials, ref_rng)
+    for name, a, b in zip(("lhs", "adv_term", "hon_term", "unbound"),
+                          got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestComplexityProbe:
