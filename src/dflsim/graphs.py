@@ -6,6 +6,7 @@ numpy Generator and are deterministic given their seed.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -77,21 +78,19 @@ class Graph:
             inn[j].append(i)
         return tuple(tuple(sorted(ns)) for ns in inn)
 
-    @cached_property
-    def undirected_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbor sets of the undirected projection (either direction)."""
-        und: list[set[int]] = [set() for _ in range(self.n)]
-        for i, j in self.edges:
-            und[i].add(j)
-            und[j].add(i)
-        return tuple(tuple(sorted(ns)) for ns in und)
+    def adjacency_mask(self) -> np.ndarray:
+        """Dense boolean adjacency; entry [i, j] is True iff (i, j) is an
+        edge."""
+        out = self.out_neighbors
+        a = np.zeros((self.n, self.n), dtype=bool)
+        a[np.repeat(np.arange(self.n), [len(ns) for ns in out]),
+          np.fromiter(itertools.chain.from_iterable(out), dtype=np.intp,
+                      count=len(self.edges))] = True
+        return a
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency; entry [i, j] = 1 iff (i, j) is an edge."""
-        a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-        return a
+        return self.adjacency_mask().astype(float)
 
     @property
     def n_edges(self) -> int:
@@ -321,31 +320,73 @@ def is_strongly_connected(g: Graph) -> bool:
     return len(_reachable_from(g, 0, g.in_neighbors)) == g.n
 
 
-def eigenvector_centrality(g: Graph, tol: float = 1e-10,
-                           max_iter: int = 10_000) -> np.ndarray:
-    """Principal right eigenvector of the adjacency matrix, by power iteration.
-
-    Starts from the uniform positive vector, renormalizes every step, and
-    stops when the successive-iterate L2 change drops below tol. The result
-    is L2-normalized and non-negative. Raises ConvergenceError (with the
-    final residual) if max_iter passes first.
-    """
-    if not is_strongly_connected(g):
-        raise ValueError("eigenvector centrality requires a strongly "
-                         "connected graph")
-    a = g.adjacency_matrix()
-    v = np.full(g.n, 1.0 / math.sqrt(g.n))
+def _power_iteration(a: np.ndarray, v: np.ndarray, tol: float,
+                     max_iter: int) -> tuple[np.ndarray, float, int]:
+    """Power iteration on a from v, renormalizing every step, for up to
+    max_iter steps or until the successive-iterate L2 change drops below
+    tol. Also stops when an iterate equals the one saved at step 1, 2, 4,
+    ... bit for bit: the step is deterministic, so the iterates cycle from
+    then on and never converge. Returns the last iterate, its residual and
+    the cycle's period (0 if none was found)."""
     residual = math.inf
-    for _ in range(max_iter):
+    saved, saved_residual, saved_step, lap = v, residual, 0, 1
+    for step in range(1, max_iter + 1):
         w = a @ v
         norm = math.sqrt(w.dot(w))  # np.linalg.norm's sum, without its checks
         if norm == 0:
             raise ConvergenceError("adjacency annihilated the iterate",
                                    residual=math.inf)
         w /= norm
-        step = w - v
-        residual = math.sqrt(step.dot(step))
+        diff = w - v
+        residual = math.sqrt(diff.dot(diff))
         v = w
+        if residual < tol:
+            return v, residual, 0
+        # equal iterates after equal predecessors have equal residuals, so
+        # the float comparison screens out nearly every array comparison
+        if residual == saved_residual and np.array_equal(v, saved):
+            return v, residual, step - saved_step
+        if step == lap:
+            saved, saved_residual, saved_step, lap = v, residual, step, 2 * lap
+    return v, residual, 0
+
+
+def eigenvector_centrality(g: Graph, tol: float = 1e-10,
+                           max_iter: int = 10_000) -> np.ndarray:
+    """Principal right eigenvector of the adjacency matrix A, by power
+    iteration.
+
+    Starts from the uniform positive vector, renormalizes every step, and
+    stops when the successive-iterate L2 change drops below tol. The
+    result is L2-normalized and non-negative.
+
+    On a periodic graph, such as a tree (bipartite), the iterates on A
+    can oscillate for good. Once an iterate repeats an earlier one bit for
+    bit, which proves that, the iteration switches to A + I, which has the
+    same Perron vector but is aperiodic; it starts from the mean of the
+    cycle's iterates and has max_iter steps of its own. A graph on which
+    the iteration on A converges gets exactly that iteration's bits.
+
+    Raises ConvergenceError (with the final residual) if the iterates on A
+    neither converge nor repeat within max_iter steps, or if those on
+    A + I do not converge either (as with tol <= 0).
+    """
+    if not is_strongly_connected(g):
+        raise ValueError("eigenvector centrality requires a strongly "
+                         "connected graph")
+    a = g.adjacency_matrix()
+    v, residual, period = _power_iteration(
+        a, np.full(g.n, 1.0 / math.sqrt(g.n)), tol, max_iter)
+    if residual < tol:
+        return v
+    if period:
+        cycle = [v]
+        for _ in range(period - 1):
+            w = a @ cycle[-1]
+            cycle.append(w / math.sqrt(w.dot(w)))
+        np.fill_diagonal(a, 1.0)
+        v, residual, _ = _power_iteration(a, np.mean(cycle, axis=0), tol,
+                                          max_iter)
         if residual < tol:
             return v
     raise ConvergenceError(
@@ -355,11 +396,8 @@ def eigenvector_centrality(g: Graph, tol: float = 1e-10,
 
 def degree_centrality(g: Graph) -> np.ndarray:
     """Per-node sum of incoming and outgoing edges."""
-    deg = np.zeros(g.n, dtype=int)
-    for i, j in g.edges:
-        deg[i] += 1
-        deg[j] += 1
-    return deg
+    return np.array([len(o) + len(i)
+                     for o, i in zip(g.out_neighbors, g.in_neighbors)])
 
 
 def clustering_coefficients(g: Graph) -> np.ndarray:
@@ -367,18 +405,15 @@ def clustering_coefficients(g: Graph) -> np.ndarray:
 
     Triangles through the node over k(k-1)/2 possible; 0 when k < 2.
     """
-    und = [set(ns) for ns in g.undirected_neighbors]
+    u = g.adjacency_mask()
+    u = u | u.T  # the undirected projection
+    degree = np.count_nonzero(u, axis=1)
     out = np.zeros(g.n)
-    for v in range(g.n):
-        ns = und[v]
+    for v in np.flatnonzero(degree > 1).tolist():
+        ns = np.flatnonzero(u[v])
         k = len(ns)
-        if k < 2:
-            continue
-        links = 0
-        for u in ns:
-            links += len(und[u] & ns)
-        # each triangle edge counted from both endpoints
-        out[v] = links / (k * (k - 1))
+        # links among the neighbors, each counted from both endpoints
+        out[v] = np.count_nonzero(u[ns[:, None], ns]) / (k * (k - 1))
     return out
 
 
@@ -396,29 +431,33 @@ def degree_variance_normalized(g: Graph) -> float:
     return float((deg.var() - d_min) / (d_max - d_min))
 
 
-def bfs_cluster(g: Graph, root: int, s_cluster: int) -> frozenset[int]:
-    """Nodes reached by outgoing-edge BFS from root until the visited set
-    first reaches s_cluster, completing the level in progress.
+def bfs_clusters(g: Graph, s_cluster: int) -> list[frozenset[int]]:
+    """For every root, the nodes reached by outgoing-edge BFS from it until
+    the visited set first reaches s_cluster, completing the level in
+    progress.
 
-    The returned set therefore contains every node at hop distance <= L,
-    where L is the smallest radius holding at least s_cluster nodes (or
-    everything reachable, if that is fewer).
+    Each set therefore contains every node at hop distance <= L from its
+    root, where L is the smallest radius holding at least s_cluster nodes
+    (or everything reachable, if that is fewer); so the order in which a
+    level is visited does not matter.
     """
-    if not (0 <= root < g.n):
-        raise ValueError(f"root {root} out of range")
     if s_cluster < 1:
         raise ValueError(f"need s_cluster >= 1, got {s_cluster}")
-    visited = {root}
-    frontier = [root]
-    while frontier and len(visited) < s_cluster:
-        nxt = []
-        for v in frontier:
-            for w in g.out_neighbors[v]:
-                if w not in visited:
-                    visited.add(w)
-                    nxt.append(w)
-        frontier = sorted(nxt)
-    return frozenset(visited)
+    out = g.out_neighbors
+    clusters = []
+    for root in range(g.n):
+        visited = {root}
+        frontier = [root]
+        while frontier and len(visited) < s_cluster:
+            nxt = []
+            for v in frontier:
+                for w in out[v]:
+                    if w not in visited:
+                        visited.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        clusters.append(frozenset(visited))
+    return clusters
 
 
 def apply_failures(g: Graph, p_node: float, p_link: float,

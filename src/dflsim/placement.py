@@ -15,7 +15,7 @@ import numpy as np
 
 from .graphs import (
     Graph,
-    bfs_cluster,
+    bfs_clusters,
     clustering_coefficients,
     degree_centrality,
     degree_variance_normalized,
@@ -94,8 +94,7 @@ def place_centrality(g: Graph, n_advs: int,
 
 def influence_clusters(g: Graph, n_advs: int) -> list[frozenset[int]]:
     """BFS influence region of every node, sized floor(n / n_advs)."""
-    s_cluster = max(1, g.n // n_advs)
-    return [bfs_cluster(g, v, s_cluster) for v in range(g.n)]
+    return bfs_clusters(g, max(1, g.n // n_advs))
 
 
 def place_maxspan(g: Graph, n_advs: int, rng: np.random.Generator, *,
@@ -113,21 +112,25 @@ def place_maxspan(g: Graph, n_advs: int, rng: np.random.Generator, *,
         first = int(rng.integers(g.n))
     elif not (0 <= first < g.n):
         raise ValueError(f"first pick {first} out of range")
-    members = [first]
-    covered = set(clusters[first])
-    honest = sorted(set(range(g.n)) - {first})
-    while len(members) < n_advs:
-        o_min = math.inf
-        a_best = -1
-        for v in honest:
-            o = len(clusters[v] & covered)
-            if o < o_min:
-                o_min = o
-                a_best = v
-        members.append(a_best)
-        covered |= clusters[a_best]
-        honest.remove(a_best)
-    return AdversarySet(members=tuple(members), strategy="maxspan")
+    holders: list[list[int]] = [[] for _ in range(g.n)]  # clusters holding u
+    for v, cluster in enumerate(clusters):
+        for u in cluster:
+            holders[u].append(v)
+    overlap = [0] * g.n  # len(clusters[v] & covered), kept as covered grows
+    covered: set[int] = set()
+    honest = list(range(g.n))
+    members: list[int] = []
+    pick = first
+    while True:
+        members.append(pick)
+        if len(members) == n_advs:
+            return AdversarySet(members=tuple(members), strategy="maxspan")
+        honest.remove(pick)
+        for u in clusters[pick] - covered:
+            for v in holders[u]:
+                overlap[v] += 1
+        covered |= clusters[pick]
+        pick = min(honest, key=overlap.__getitem__)
 
 
 def hop_probability(c_hat: float, var_hat: float, params: HoppingParams,
@@ -176,8 +179,7 @@ def place_maxspan_hopping(g: Graph, n_advs: int, params: HoppingParams,
 
     def rank(v: int) -> tuple[float, int]:
         # centrality is only needed once a hop has several candidates, so
-        # compute it lazily (single-neighbor hops work even on graphs where
-        # power iteration would not converge)
+        # it is computed lazily, at most once per placement
         nonlocal centrality
         if centrality is None:
             centrality = eigenvector_centrality(g)

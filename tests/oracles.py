@@ -2,17 +2,20 @@
 
 The program computes each rule one way: the engine as batched
 (node, parameter) stacks, the lemma check as stacked blocks of trials,
-the placement strategies by BFS influence regions. The functions here
+the maxspan greedy with each overlap kept as regions are claimed, and
+centrality with a stop on repeating iterates. The functions here
 compute the same quantities the plain way, one node, one model, one
 trial or one pair at a time, or recompute what the program carries
 over, and nothing in `dflsim` calls them.
 """
+import math
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from dflsim.graphs import (Graph, GraphError, eigenvector_centrality,
-                           graph_from_edges)
+from dflsim.graphs import (ConvergenceError, Graph, GraphError,
+                           eigenvector_centrality, graph_from_edges,
+                           is_strongly_connected)
 from dflsim.learning import (Dataset, Model, _softmax, batch_grads,
                              batch_poisoned_grads, loss_and_grad, model_dim)
 from dflsim.placement import influence_clusters
@@ -240,7 +243,93 @@ def total_pairwise_distance(g: Graph, nodes: Iterable[int]) -> int:
     return total
 
 
+def power_iteration_centrality(g: Graph, tol: float = 1e-10,
+                               max_iter: int = 10_000) -> np.ndarray:
+    """Power iteration on the adjacency matrix alone: `eigenvector_centrality`
+    without its exact-repeat stop and A + I fallback. Raises
+    ConvergenceError after max_iter steps, as on every bipartite graph."""
+    if not is_strongly_connected(g):
+        raise ValueError("eigenvector centrality requires a strongly "
+                         "connected graph")
+    a = g.adjacency_matrix()
+    v = np.full(g.n, 1.0 / math.sqrt(g.n))
+    residual = math.inf
+    for _ in range(max_iter):
+        w = a @ v
+        norm = math.sqrt(w.dot(w))  # np.linalg.norm's sum, without its checks
+        if norm == 0:
+            raise ConvergenceError("adjacency annihilated the iterate",
+                                   residual=math.inf)
+        w /= norm
+        step = w - v
+        residual = math.sqrt(step.dot(step))
+        v = w
+        if residual < tol:
+            return v
+    raise ConvergenceError(
+        f"power iteration did not converge in {max_iter} steps "
+        f"(last residual {residual:.3e})", residual=residual)
+
+
+def clustering_coefficients(g: Graph) -> np.ndarray:
+    """Local clustering on the undirected projection, by set intersection."""
+    und: list[set[int]] = [set() for _ in range(g.n)]
+    for i, j in g.edges:
+        und[i].add(j)
+        und[j].add(i)
+    out = np.zeros(g.n)
+    for v in range(g.n):
+        ns = und[v]
+        k = len(ns)
+        if k < 2:
+            continue
+        links = 0
+        for u in ns:
+            links += len(und[u] & ns)
+        # each triangle edge counted from both endpoints
+        out[v] = links / (k * (k - 1))
+    return out
+
+
+def bfs_cluster(g: Graph, root: int, s_cluster: int) -> frozenset[int]:
+    """One root's BFS influence region, visiting each level in index order."""
+    visited = {root}
+    frontier = [root]
+    while frontier and len(visited) < s_cluster:
+        nxt = []
+        for v in frontier:
+            for w in g.out_neighbors[v]:
+                if w not in visited:
+                    visited.add(w)
+                    nxt.append(w)
+        frontier = sorted(nxt)
+    return frozenset(visited)
+
+
 # ------------------------------ placement ----------------------------- #
+
+def maxspan_members(g: Graph, n_advs: int, first: int) -> tuple[int, ...]:
+    """`place_maxspan` from a pinned first pick, rescanning every honest
+    node's overlap with the claimed regions at every pick; the regions
+    come from `bfs_cluster`."""
+    s_cluster = max(1, g.n // n_advs)
+    clusters = [bfs_cluster(g, v, s_cluster) for v in range(g.n)]
+    members = [first]
+    covered = set(clusters[first])
+    honest = sorted(set(range(g.n)) - {first})
+    while len(members) < n_advs:
+        o_min = math.inf
+        a_best = -1
+        for v in honest:
+            o = len(clusters[v] & covered)
+            if o < o_min:
+                o_min = o
+                a_best = v
+        members.append(a_best)
+        covered |= clusters[a_best]
+        honest.remove(a_best)
+    return tuple(members)
+
 
 def greedy_overlap(g: Graph, members: tuple[int, ...],
                    n_advs: Optional[int] = None) -> int:

@@ -274,6 +274,23 @@ class TestCliVerbs:
         assert (out / "summary.csv").exists()
         assert capsys.readouterr().err == ""
 
+    def test_tree_sweep_scores_every_cell(self, tmp_path, capsys):
+        # pa with m0=1 grows a tree, on which power iteration on the
+        # adjacency alone oscillates; the centrality-ranked strategies
+        # still place and score every cell
+        config = tmp_path / "trees.yaml"
+        out = tmp_path / "out"
+        config.write_text(TINY_CONFIG.format(out=out)
+                          .replace("{family: dg, n: 10, param: 0.6}",
+                                   "{family: pa, n: 10, param: 1}")
+                          .replace("[random, maxspan]",
+                                   "[eigen, maxspan-hop]"))
+        assert main(["run", str(config)]) == 0
+        assert capsys.readouterr().err == ""
+        assert not (out / "failures.csv").exists()
+        assert [r["runs"] for r in read_csv(out / "summary_agg.csv")] == \
+            ["2", "2"]
+
     def test_short_aggregates_warned(self, tmp_path, capsys):
         # SHARED_CONFIG's seeds 11 and 31 fail some cells, so every row
         # of summary_agg.csv averages fewer runs than its 4 seeds

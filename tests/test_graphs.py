@@ -12,7 +12,7 @@ from dflsim.graphs import (
     Graph,
     GraphFamily,
     apply_failures,
-    bfs_cluster,
+    bfs_clusters,
     circulant_graph,
     clustering_coefficients,
     degree_centrality,
@@ -29,10 +29,15 @@ from dflsim.graphs import (
 )
 from oracles import (
     UnreachableError,
+    clustering_coefficients as set_clustering,
     complete_graph,
     hop_distances,
+    power_iteration_centrality,
     total_pairwise_distance,
 )
+
+# generated families for property tests: pa with m0 = 1 gives trees
+FAMILIES = (("er", 0.3), ("dg", 0.5), ("pa", 1), ("pa", 2))
 
 
 def star_graph(leaves=4):
@@ -41,6 +46,10 @@ def star_graph(leaves=4):
         edges.add((0, leaf))
         edges.add((leaf, 0))
     return graph_from_edges(leaves + 1, edges)
+
+
+def undirected_graph(n, pairs):
+    return graph_from_edges(n, [e for i, j in pairs for e in ((i, j), (j, i))])
 
 
 def floyd_warshall(g):
@@ -79,7 +88,9 @@ class TestGraphType:
         g = graph_from_edges(3, [(0, 1), (1, 2), (2, 0)])
         assert g.out_neighbors == ((1,), (2,), (0,))
         assert g.in_neighbors == ((2,), (0,), (1,))
-        assert g.undirected_neighbors == ((1, 2), (0, 2), (0, 1))
+        assert g.adjacency_mask().tolist() == [[False, True, False],
+                                               [False, False, True],
+                                               [True, False, False]]
 
 
 class TestErdosRenyi:
@@ -271,6 +282,48 @@ class TestEigenvectorCentrality:
             eigenvector_centrality(g, tol=0.0, max_iter=3)
         assert err.value.residual >= 0
 
+    def test_tree_converges_where_plain_iteration_cannot(self):
+        # a tree is bipartite: the plain iteration oscillates for good,
+        # while the result is the tree's Perron vector
+        g = undirected_graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+        with pytest.raises(ConvergenceError):
+            power_iteration_centrality(g)
+        w, vecs = np.linalg.eigh(g.adjacency_matrix())
+        expect = np.abs(vecs[:, -1])
+        assert np.abs(eigenvector_centrality(g) - expect).max() < 1e-12
+
+    def test_no_repeat_within_budget_still_raises(self):
+        # the same tree's iterates first repeat after more than 50 steps
+        g = undirected_graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+        with pytest.raises(ConvergenceError) as err:
+            eigenvector_centrality(g, max_iter=50)
+        assert err.value.residual > 0.1
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(FAMILIES), st.integers(3, 30),
+           st.integers(0, 2**32 - 1))
+    def test_bits_of_plain_iteration_wherever_it_converges(self, family, n,
+                                                           seed):
+        g = GraphFamily(*family).generate(n, np.random.default_rng(seed))
+        v = eigenvector_centrality(g)
+        try:
+            expect = power_iteration_centrality(g)
+        except ConvergenceError:
+            # a periodic graph: the Perron vector, non-negative, unit norm
+            e = g.adjacency_matrix()
+            lam = v @ e @ v
+            assert np.linalg.norm(e @ v - lam * v) / lam < 1e-9
+            assert np.all(v >= 0) and abs(np.linalg.norm(v) - 1) < 1e-12
+        else:
+            assert v.tobytes() == expect.tobytes()
+
+    def test_bits_of_plain_iteration_on_benchmark_pools(self,
+                                                        benchmark_pool):
+        for g in benchmark_pool:
+            assert eigenvector_centrality(g).tobytes() == \
+                power_iteration_centrality(g).tobytes()
+
 
 class TestDegreeAndClustering:
     def test_degree_complete(self):
@@ -295,6 +348,24 @@ class TestDegreeAndClustering:
         c = clustering_coefficients(graph_from_edges(4, edges))
         assert np.allclose(c, [1 / 3, 1.0, 1.0, 0.0])
 
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(FAMILIES), st.integers(3, 30),
+           st.integers(0, 2**32 - 1))
+    def test_match_neighbor_sets(self, family, n, seed):
+        g = GraphFamily(*family).generate(n, np.random.default_rng(seed))
+        degree = degree_centrality(g)
+        assert degree.tolist() == [len(g.out_neighbors[v])
+                                   + len(g.in_neighbors[v])
+                                   for v in range(n)]
+        assert clustering_coefficients(g).tobytes() == \
+            set_clustering(g).tobytes()
+
+    def test_clustering_bits_on_benchmark_pools(self, benchmark_pool):
+        for g in benchmark_pool:
+            assert clustering_coefficients(g).tobytes() == \
+                set_clustering(g).tobytes()
+
     def test_degree_variance_regular_graph(self):
         assert degree_variance_normalized(complete_graph(5)) == 0.0
 
@@ -315,11 +386,11 @@ class TestDegreeAndClustering:
 class TestBfsCluster:
     def test_size_one(self):
         g = complete_graph(5)
-        assert bfs_cluster(g, 3, 1) == frozenset({3})
+        assert bfs_clusters(g, 1)[3] == frozenset({3})
 
     def test_directed_path(self):
         g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        assert bfs_cluster(g, 0, 3) == frozenset({0, 1, 2})
+        assert bfs_clusters(g, 3)[0] == frozenset({0, 1, 2})
 
     def test_matches_hop_distance_oracle(self):
         rng = np.random.default_rng(17)
@@ -327,7 +398,7 @@ class TestBfsCluster:
             g = random_digraph(10, 0.25, rng)
             root = int(rng.integers(10))
             s = int(rng.integers(1, 11))
-            got = bfs_cluster(g, root, s)
+            got = bfs_clusters(g, s)[root]
             dist = hop_distances(g, root)
             reach = sorted(d for d in dist if d >= 0)
             if len(reach) <= s:
@@ -339,7 +410,7 @@ class TestBfsCluster:
 
     def test_full_cluster_on_strongly_connected(self):
         g = gen_erdos_renyi(9, 0.35, np.random.default_rng(2))
-        assert bfs_cluster(g, 0, 9) == frozenset(range(9))
+        assert bfs_clusters(g, 9)[0] == frozenset(range(9))
 
 
 class TestTotalPairwiseDistance:

@@ -3,9 +3,12 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from dflsim.graphs import (
+    GraphFamily,
     gen_directed_geometric,
     gen_erdos_renyi,
     graph_from_edges,
@@ -22,7 +25,7 @@ from dflsim.placement import (
     place_maxspan_hopping,
     place_random,
 )
-from oracles import complete_graph, greedy_overlap
+from oracles import complete_graph, greedy_overlap, maxspan_members
 
 NO_HOP = HoppingParams(alpha0=1e6, alpha1=1.0, alpha2=1.0, decay=0.0)
 
@@ -163,6 +166,27 @@ class TestPlaceMaxspan:
         assert zero_sets, "family must admit a zero-overlap selection"
         sel = place_maxspan(g, 3, np.random.default_rng(0), first=0)
         assert greedy_overlap(g, sel.members) == 0
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from((("er", 0.3), ("dg", 0.5), ("pa", 1), ("pa", 2))),
+           st.integers(3, 30), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_members_of_rescanning_greedy(self, family, n, seed, n_advs):
+        g = GraphFamily(*family).generate(n, np.random.default_rng(seed))
+        n_advs = min(n_advs, n)
+        for first in range(n):
+            sel = place_maxspan(g, n_advs, None, first=first)
+            assert sel.members == maxspan_members(g, n_advs, first)
+
+    def test_members_of_rescanning_greedy_on_benchmark_pools(
+            self, benchmark_pool):
+        # every first pick at n=25, five at n=100 and one at n=400
+        step = {25: 1, 100: 21, 400: 400}
+        for g in benchmark_pool:
+            n_advs = round(0.2 * g.n)
+            for first in range(0, g.n, step[g.n]):
+                sel = place_maxspan(g, n_advs, None, first=first)
+                assert sel.members == maxspan_members(g, n_advs, first)
 
     def test_beats_random_overlap_on_geometric_graphs(self):
         diffs = []
