@@ -201,6 +201,11 @@ def bound_trials(scenario: BoundScenario, trials: int,
 
 # ------------------------------- graphs ------------------------------- #
 
+# the graph families the property tests draw from: pa with m0 = 1 gives
+# trees, on which the plain power iteration never converges
+FAMILIES = (("er", 0.3), ("dg", 0.5), ("pa", 1), ("pa", 2))
+
+
 class UnreachableError(GraphError):
     """A shortest-path query hit an unreachable node pair."""
 

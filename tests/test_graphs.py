@@ -28,6 +28,7 @@ from dflsim.graphs import (
     is_strongly_connected,
 )
 from oracles import (
+    FAMILIES,
     UnreachableError,
     clustering_coefficients as set_clustering,
     complete_graph,
@@ -35,9 +36,6 @@ from oracles import (
     power_iteration_centrality,
     total_pairwise_distance,
 )
-
-# generated families for property tests: pa with m0 = 1 gives trees
-FAMILIES = (("er", 0.3), ("dg", 0.5), ("pa", 1), ("pa", 2))
 
 
 def star_graph(leaves=4):
@@ -298,6 +296,15 @@ class TestEigenvectorCentrality:
         with pytest.raises(ConvergenceError) as err:
             eigenvector_centrality(g, max_iter=50)
         assert err.value.residual > 0.1
+        assert "did not converge in 50 steps" in str(err.value)
+
+    def test_fallback_that_fails_says_so(self):
+        # with tol 0 neither iteration can converge: the one on A repeats,
+        # and the one on A + I settles into a repeat of its own
+        g = undirected_graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+        with pytest.raises(ConvergenceError) as err:
+            eigenvector_centrality(g, tol=0.0)
+        assert "on A and did not converge on A + I" in str(err.value)
 
     @settings(max_examples=80, deadline=None, derandomize=True,
               database=None)

@@ -1,5 +1,6 @@
-"""Centrality and clustering checked against networkx, an independent
-implementation: its sparse eigensolver and its triangle counts."""
+"""Centrality, clustering and the placements built on centrality checked
+against networkx, an independent implementation: its sparse eigensolver
+and its triangle counts."""
 import numpy as np
 import pytest
 
@@ -8,6 +9,7 @@ from dflsim.graphs import (
     clustering_coefficients,
     eigenvector_centrality,
 )
+from dflsim.placement import place
 from dflsim.simulation import seed_streams
 
 nx = pytest.importorskip("networkx")
@@ -46,6 +48,40 @@ def test_tree_centrality(n, seed):
     assert np.all(v >= 0)
     assert abs(np.sqrt(v @ v) - 1) < 1e-12
     assert np.abs(v - networkx_centrality(g)).max() < 1e-9
+
+
+@pytest.mark.parametrize("n,seed", TREES)
+def test_tree_placements_pick_the_most_central(n, seed):
+    # the topology workload's eigen and maxspan-hop ops on the trees,
+    # member for member: every pick ranks first by networkx's centrality,
+    # up to nodes within 1e-9 of each other, which the program may order
+    # either way
+    g = tree(n, seed)
+    truth = networkx_centrality(g)
+    n_advs = max(1, round(0.2 * n))
+
+    eigen = list(place(g, "eigen", n_advs,
+                       seed_streams(seed)["placement"]).members)
+    picked = truth[eigen]
+    assert np.all(picked[:-1] >= picked[1:] - 1e-9)
+    assert picked[-1] >= np.delete(truth, eigen).max() - 1e-9
+
+    hop = place(g, "maxspan-hop", n_advs, seed_streams(seed)["placement"])
+    members = [start for start, _ in hop.hop_trace]
+    assert tuple(members) == place(g, "maxspan", n_advs,
+                                   seed_streams(seed)["placement"]).members
+    current = set(members)
+    for idx, (start, hops) in enumerate(hop.hop_trace):
+        a = start
+        for target in hops:
+            candidates = [v for v in g.out_neighbors[a] if v not in current]
+            assert target in candidates
+            assert truth[target] >= truth[candidates].max() - 1e-9
+            current.remove(a)
+            current.add(target)
+            a = target
+        members[idx] = a
+    assert tuple(members) == hop.members
 
 
 def test_benchmark_pool_centrality(benchmark_pool):

@@ -25,7 +25,7 @@ from dflsim.placement import (
     place_maxspan_hopping,
     place_random,
 )
-from oracles import complete_graph, greedy_overlap, maxspan_members
+from oracles import FAMILIES, complete_graph, greedy_overlap, maxspan_members
 
 NO_HOP = HoppingParams(alpha0=1e6, alpha1=1.0, alpha2=1.0, decay=0.0)
 
@@ -169,8 +169,7 @@ class TestPlaceMaxspan:
 
     @settings(max_examples=80, deadline=None, derandomize=True,
               database=None)
-    @given(st.sampled_from((("er", 0.3), ("dg", 0.5), ("pa", 1), ("pa", 2))),
-           st.integers(3, 30), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    @given(st.sampled_from(FAMILIES), st.integers(3, 30), st.integers(0, 2**32 - 1), st.integers(1, 8))
     def test_members_of_rescanning_greedy(self, family, n, seed, n_advs):
         g = GraphFamily(*family).generate(n, np.random.default_rng(seed))
         n_advs = min(n_advs, n)
