@@ -1,12 +1,13 @@
 """Directed-graph representation, random generators, and topology metrics.
 
-Graphs are immutable: a node count, a set of directed edges, and optional
-2D coordinates for geometric graphs. All generators take an explicit
-numpy Generator and are deterministic given their seed.
+Graphs are immutable: a node count, the directed edges as one sorted
+(m, 2) int32 array, and optional 2D coordinates for geometric graphs.
+Neighbour offsets, centrality, the `edges` frozenset and the text form
+are derived from that array. All generators take an explicit numpy
+Generator and are deterministic given their seed.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,66 +42,90 @@ class EmptyGraphError(GraphError):
 DEFAULT_RETRY_BUDGET = 20_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable directed graph on nodes 0..n-1.
-
-    edges holds ordered pairs (i, j) meaning a directed link i -> j.
-    positions, when present, are per-node 2D coordinates.
-    """
+    """Immutable directed graph on nodes 0..n-1. arcs, the stored form of
+    the edges, is a read-only (m, 2) int32 array of links i -> j, sorted,
+    each once (any (m, 2) integer array-like is brought to that form);
+    positions, when present, are per-node 2D coordinates as Python floats.
+    Graphs compare and hash by n, the bytes of arcs and positions. `edges`
+    is a view: a frozenset of (i, j) pairs, built anew on each access."""
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    arcs: np.ndarray
     positions: Optional[tuple[tuple[float, float], ...]] = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"node count must be positive, got {self.n}")
-        for i, j in self.edges:
+        if (n := self.n) < 1:
+            raise ValueError(f"node count must be positive, got {n}")
+        arcs = np.asarray(self.arcs, dtype=np.int64).reshape(-1, 2)
+        i, j = arcs.T
+        bad = (i == j) | (arcs.min(axis=1) < 0) | (arcs.max(axis=1) >= n)
+        if bad.any():
+            i, j = arcs[bad.argmax()].tolist()
             if i == j:
                 raise ValueError(f"self-loop ({i}, {i}) not allowed")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-        if self.positions is not None and len(self.positions) != self.n:
+            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+        key = i * n + j
+        if not (key[1:] > key[:-1]).all():  # sort, and drop repeats
+            arcs = np.column_stack(np.divmod(np.unique(key), n))
+        arcs = arcs.astype(np.int32, order="C")
+        arcs.flags.writeable = False
+        object.__setattr__(self, "arcs", arcs)
+        if self.positions is not None and len(self.positions) != n:
             raise ValueError("positions must have one entry per node")
 
-    @cached_property
-    def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            out[i].append(j)
-        return tuple(tuple(sorted(ns)) for ns in out)
+    def _key(self) -> tuple:
+        return self.n, self.arcs.tobytes(), self.positions
+
+    def __eq__(self, other):
+        return isinstance(other, Graph) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(map(tuple, self.arcs.tolist()))
 
     @cached_property
-    def in_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        inn: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            inn[j].append(i)
-        return tuple(tuple(sorted(ns)) for ns in inn)
+    def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(offsets, nodes): v's out-neighbours, ascending, are
+        nodes[offsets[v]:offsets[v + 1]]."""
+        return _csr(self.arcs, self.n)
+
+    @cached_property
+    def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """In-neighbours as `out_csr`: the reversed graph's out-neighbours."""
+        return _csr(np.argwhere(self.adjacency_mask().T), self.n)
+
+    @cached_property
+    def eigen_centrality(self) -> np.ndarray:
+        """`eigenvector_centrality` with its defaults, once, read-only."""
+        v = eigenvector_centrality(self)
+        v.flags.writeable = False
+        return v
 
     def adjacency_mask(self) -> np.ndarray:
-        """Dense boolean adjacency; entry [i, j] is True iff (i, j) is an
-        edge."""
-        out = self.out_neighbors
+        """Dense boolean adjacency; entry [i, j] is True iff i -> j."""
         a = np.zeros((self.n, self.n), dtype=bool)
-        a[np.repeat(np.arange(self.n), [len(ns) for ns in out]),
-          np.fromiter(itertools.chain.from_iterable(out), dtype=np.intp,
-                      count=len(self.edges))] = True
+        a[self.arcs[:, 0], self.arcs[:, 1]] = True
         return a
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency; entry [i, j] = 1 iff (i, j) is an edge."""
         return self.adjacency_mask().astype(float)
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
+
+def _csr(arcs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # counted, not searched: a first sort or search adds 0.3-1 MB of RSS
+    counts = np.bincount(arcs[:, 0], minlength=n)
+    return np.concatenate(([0], np.cumsum(counts))), arcs[:, 1]
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]],
                      positions=None) -> Graph:
-    return Graph(n=n, edges=frozenset((int(i), int(j)) for i, j in edges),
-                 positions=positions)
+    return Graph(n=n, arcs=list(edges), positions=positions)
 
 
 @dataclass(frozen=True)
@@ -138,24 +163,14 @@ class GraphFamily:
 
 def circulant_graph(n: int, offsets: Iterable[int]) -> Graph:
     """Symmetric circulant graph: i ~ i +/- k (mod n) for each offset k."""
-    edges = set()
-    for i in range(n):
-        for k in offsets:
-            j = (i + k) % n
-            if j != i:
-                edges.add((i, j))
-                edges.add((j, i))
-    return graph_from_edges(n, edges)
+    a, i = np.zeros((n, n), dtype=bool), np.arange(n)
+    for k in offsets:
+        a[i, (i + k) % n] = a[(i + k) % n, i] = True
+    np.fill_diagonal(a, False)
+    return Graph(n=n, arcs=np.argwhere(a))
 
 
 # ----------------------------- generators ----------------------------- #
-
-def _er_edges(n: int, p: float, rng: np.random.Generator) -> frozenset:
-    mask = rng.random((n, n)) < p
-    np.fill_diagonal(mask, False)
-    ii, jj = np.nonzero(mask)
-    return frozenset(zip(ii.tolist(), jj.tolist()))
-
 
 def gen_erdos_renyi(n: int, p: float, rng: np.random.Generator, *,
                     max_retries: int = DEFAULT_RETRY_BUDGET) -> Graph:
@@ -170,20 +185,22 @@ def gen_erdos_renyi(n: int, p: float, rng: np.random.Generator, *,
     if not (0.0 < p <= 1.0):
         raise ValueError(f"need 0 < p <= 1, got {p}")
     for _ in range(max_retries):
-        g = Graph(n=n, edges=_er_edges(n, p, rng))
+        mask = rng.random((n, n)) < p
+        np.fill_diagonal(mask, False)
+        g = Graph(n=n, arcs=np.argwhere(mask))
         if is_strongly_connected(g):
             return g
     raise GenerationError(
         f"no strongly connected G({n}, {p}) in {max_retries} draws")
 
 
-def geometric_edges(positions: np.ndarray, r: float) -> frozenset:
-    """Both directed edges for every pair closer than r in the plane."""
+def geometric_edges(positions: np.ndarray, r: float) -> np.ndarray:
+    """Both directed edges for every pair closer than r in the plane, as a
+    sorted (m, 2) array."""
     d2 = np.sum((positions[:, None, :] - positions[None, :, :]) ** 2, axis=-1)
     close = d2 < r * r
     np.fill_diagonal(close, False)
-    ii, jj = np.nonzero(close)
-    return frozenset(zip(ii.tolist(), jj.tolist()))
+    return np.argwhere(close)
 
 
 _DRAW_BATCH_CELLS = 1 << 14  # position draws per batch times n * n
@@ -244,80 +261,75 @@ def gen_directed_geometric(n: int, r: float, rng: np.random.Generator, *,
         raise ValueError(f"need 0 < r <= sqrt(2), got {r}")
     pos = _first_connected_draw(n, r, rng, max_retries)
     if pos is not None:
-        return Graph(n=n, edges=geometric_edges(pos, r),
+        return Graph(n=n, arcs=geometric_edges(pos, r),
                      positions=tuple((float(x), float(y)) for x, y in pos))
     raise GenerationError(
         f"no strongly connected geometric graph (n={n}, r={r}) "
         f"in {max_retries} draws")
 
 
-def gen_preferential_attachment(n: int, m0: int, rng: np.random.Generator, *,
-                                max_retries: int = DEFAULT_RETRY_BUDGET) -> Graph:
+def gen_preferential_attachment(n: int, m0: int,
+                                rng: np.random.Generator) -> Graph:
     """Preferential-attachment growth from m0 fully interconnected seeds.
 
-    Each arriving node links to min(m0, current size) distinct existing
-    nodes drawn proportionally to total degree; every attachment is added
-    in both directions.
+    Each arriving node links to m0 distinct existing nodes drawn
+    proportionally to total degree, in both directions; so the result is
+    always strongly connected and is never redrawn.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if not (1 <= m0 < n):
         raise ValueError(f"need 1 <= m0 < n, got m0={m0}, n={n}")
-    for _ in range(max_retries):
-        edges: set[tuple[int, int]] = set()
-        degree = np.zeros(n)
-        for i in range(m0):
-            for j in range(m0):
-                if i != j:
-                    edges.add((i, j))
-                    degree[i] += 1
-        for v in range(m0, n):
-            k = min(m0, v)
-            weights = degree[:v]
-            total = weights.sum()
-            if total == 0:
-                # only when m0 = 1 and the lone seed has no edges yet
-                probs = np.full(v, 1.0 / v)
-            else:
-                probs = weights / total
-            targets = rng.choice(v, size=k, replace=False, p=probs)
-            for u in targets:
-                u = int(u)
-                edges.add((v, u))
-                edges.add((u, v))
-                degree[v] += 2
-                degree[u] += 2
-        g = Graph(n=n, edges=frozenset(edges))
-        if is_strongly_connected(g):
-            return g
-    raise GenerationError(
-        f"no strongly connected PA graph (n={n}, m0={m0}) "
-        f"in {max_retries} draws")
+    a = np.zeros((n, n), dtype=bool)
+    a[:m0, :m0] = ~np.eye(m0, dtype=bool)
+    degree = np.zeros(n)
+    degree[:m0] = m0 - 1  # the seeds count their out-links only
+    for v in range(m0, n):
+        weights = degree[:v]
+        total = weights.sum()
+        if total == 0:
+            # only when m0 = 1 and the lone seed has no edges yet
+            probs = np.full(v, 1.0 / v)
+        else:
+            probs = weights / total
+        targets = rng.choice(v, size=m0, replace=False, p=probs)
+        a[v, targets] = a[targets, v] = True
+        degree[v] += 2 * m0
+        degree[targets] += 2
+    return Graph(n=n, arcs=np.argwhere(a))
 
 
 # ------------------------------ metrics ------------------------------- #
 
-def _reachable_from(g: Graph, root: int, neighbors) -> set[int]:
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in neighbors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
+def _bit_rows(a: np.ndarray) -> list[int]:
+    """Each row of a square boolean matrix as a Python int, bit j for j."""
+    width = (len(a) + 7) // 8
+    rows = np.packbits(a, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(rows[v * width:(v + 1) * width], "little")
+            for v in range(len(a))]
+
+
+def _ball(rows: list[int], root: int, size: int) -> int:
+    """The nodes a BFS along `_bit_rows` reaches from root, as an int, until
+    they first number size, completing the level. A level's successors,
+    the union of its nodes' rows, cost per node, not per edge."""
+    seen = frontier = 1 << root
+    while frontier and seen.bit_count() < size:
+        reach = 0
+        while frontier:  # add the row of each frontier node
+            low = frontier & -frontier
+            reach |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
     return seen
 
 
 def is_strongly_connected(g: Graph) -> bool:
-    """True iff every node reaches every other along directed paths."""
-    if g.n == 1:
-        return True
-    if len(_reachable_from(g, 0, g.out_neighbors)) != g.n:
-        return False
-    return len(_reachable_from(g, 0, g.in_neighbors)) == g.n
+    """True iff every node reaches every other along directed paths: node
+    0 reaches every node, in g and in g reversed."""
+    a = g.adjacency_mask()
+    return all(_ball(_bit_rows(m), 0, g.n) == (1 << g.n) - 1 for m in (a, a.T))
 
 
 def _power_iteration(a: np.ndarray, v: np.ndarray, tol: float,
@@ -403,8 +415,11 @@ def eigenvector_centrality(g: Graph, tol: float = 1e-10,
 
 def degree_centrality(g: Graph) -> np.ndarray:
     """Per-node sum of incoming and outgoing edges."""
-    return np.array([len(o) + len(i)
-                     for o, i in zip(g.out_neighbors, g.in_neighbors)])
+    return np.bincount(g.arcs.ravel(), minlength=g.n)
+
+
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+_CLUSTERING_CHUNK_BYTES = 1 << 16
 
 
 def clustering_coefficients(g: Graph) -> np.ndarray:
@@ -413,15 +428,19 @@ def clustering_coefficients(g: Graph) -> np.ndarray:
     Triangles through the node over k(k-1)/2 possible; 0 when k < 2.
     """
     u = g.adjacency_mask()
-    u = u | u.T  # the undirected projection
-    degree = np.count_nonzero(u, axis=1)
-    out = np.zeros(g.n)
-    for v in np.flatnonzero(degree > 1).tolist():
-        ns = np.flatnonzero(u[v])
-        k = len(ns)
-        # links among the neighbors, each counted from both endpoints
-        out[v] = np.count_nonzero(u[ns[:, None], ns]) / (k * (k - 1))
-    return out
+    u |= u.T  # the undirected projection
+    k = np.count_nonzero(u, axis=1)
+    i, j = np.nonzero(np.triu(u))  # each undirected link once
+    # each link's ends' common neighbours, on rows packed 8 nodes a byte
+    rows = np.packbits(u, axis=1)
+    common = np.empty(len(i))
+    step = max(1, _CLUSTERING_CHUNK_BYTES // rows.shape[1])
+    for lo in range(0, len(i), step):
+        both = rows[i[lo:lo + step]] & rows[j[lo:lo + step]]
+        common[lo:lo + step] = _POPCOUNT[both].sum(axis=1)
+    # links among each node's neighbours, counted from both endpoints
+    links = np.bincount(i, common, g.n) + np.bincount(j, common, g.n)
+    return np.divide(links, k * (k - 1), out=np.zeros(g.n), where=k > 1)
 
 
 def degree_variance_normalized(g: Graph) -> float:
@@ -438,101 +457,86 @@ def degree_variance_normalized(g: Graph) -> float:
     return float((deg.var() - d_min) / (d_max - d_min))
 
 
-def bfs_clusters(g: Graph, s_cluster: int) -> list[frozenset[int]]:
-    """For every root, the nodes reached by outgoing-edge BFS from it until
-    the visited set first reaches s_cluster, completing the level in
-    progress.
-
-    Each set therefore contains every node at hop distance <= L from its
-    root, where L is the smallest radius holding at least s_cluster nodes
-    (or everything reachable, if that is fewer); so the order in which a
-    level is visited does not matter.
-    """
+def bfs_regions(g: Graph, s_cluster: int) -> list[int]:
+    """`bfs_clusters`' rows as one Python int per root, bit u for node u."""
     if s_cluster < 1:
         raise ValueError(f"need s_cluster >= 1, got {s_cluster}")
-    out = g.out_neighbors
-    clusters = []
-    for root in range(g.n):
-        visited = {root}
-        frontier = [root]
-        while frontier and len(visited) < s_cluster:
-            nxt = []
-            for v in frontier:
-                for w in out[v]:
-                    if w not in visited:
-                        visited.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        clusters.append(frozenset(visited))
-    return clusters
+    rows = _bit_rows(g.adjacency_mask())
+    return [_ball(rows, root, s_cluster) for root in range(g.n)]
+
+
+def bfs_clusters(g: Graph, s_cluster: int) -> np.ndarray:
+    """Cluster membership: row v marks the nodes reached by outgoing-edge
+    BFS from root v until the visited set first reaches s_cluster,
+    completing the level in progress: every node at hop distance <= L,
+    the smallest radius holding s_cluster nodes (or all reachable ones)."""
+    width = (g.n + 7) // 8
+    rows = b"".join(region.to_bytes(width, "little")
+                    for region in bfs_regions(g, s_cluster))
+    packed = np.frombuffer(rows, dtype=np.uint8).reshape(g.n, width)
+    return np.unpackbits(packed, axis=1, count=g.n,
+                         bitorder="little").view(bool)
 
 
 def apply_failures(g: Graph, p_node: float, p_link: float,
                    rng: np.random.Generator) -> tuple[Graph, dict[int, int]]:
     """Remove each node w.p. p_node and each surviving edge w.p. p_link.
 
-    Surviving nodes are re-indexed contiguously; returns the degraded graph
-    and the old->new index map. The result is not required to be strongly
+    The link draws follow the sorted edges between survivors. Surviving
+    nodes are re-indexed contiguously; returns the degraded graph and the
+    old->new index map. The result is not required to be strongly
     connected. Raises EmptyGraphError if nothing survives.
     """
     if not (0.0 <= p_node <= 1.0 and 0.0 <= p_link <= 1.0):
         raise ValueError("failure probabilities must lie in [0, 1]")
     node_alive = rng.random(g.n) >= p_node
-    survivors = [v for v in range(g.n) if node_alive[v]]
+    survivors = np.flatnonzero(node_alive).tolist()
     if not survivors:
         raise EmptyGraphError("every node failed")
-    index_map = {old: new for new, old in enumerate(survivors)}
-    kept_edges = sorted((i, j) for i, j in g.edges
-                        if node_alive[i] and node_alive[j])
-    link_alive = rng.random(len(kept_edges)) >= p_link
-    new_edges = frozenset((index_map[i], index_map[j])
-                          for (i, j), ok in zip(kept_edges, link_alive) if ok)
-    new_pos = None
-    if g.positions is not None:
-        new_pos = tuple(g.positions[v] for v in survivors)
-    return Graph(n=len(survivors), edges=new_edges, positions=new_pos), index_map
+    kept = g.arcs[node_alive[g.arcs].all(axis=1)]
+    link_alive = rng.random(len(kept)) >= p_link
+    new_index = np.cumsum(node_alive) - 1  # increasing: keeps arcs sorted
+    new_pos = (None if g.positions is None
+               else tuple(g.positions[v] for v in survivors))
+    return (Graph(n=len(survivors), arcs=new_index[kept[link_alive]],
+                  positions=new_pos),
+            dict(zip(survivors, range(len(survivors)))))
 
 
 # ---------------------------- serialization --------------------------- #
 
 def graph_to_text(g: Graph) -> str:
     """Edge-list text form: header `n <count> directed`, one `i j` line per
-    edge, then optional `pos i x y` lines."""
+    edge in sorted order, then optional `pos i x y` lines."""
     lines = [f"n {g.n} directed"]
-    for i, j in sorted(g.edges):
-        lines.append(f"{i} {j}")
+    lines += [f"{i} {j}" for i, j in g.arcs.tolist()]
     if g.positions is not None:
-        for i, (x, y) in enumerate(g.positions):
-            lines.append(f"pos {i} {x!r} {y!r}")
+        lines += [f"pos {i} {x!r} {y!r}" for i, (x, y) in enumerate(g.positions)]
     return "\n".join(lines) + "\n"
 
 
 def graph_from_text(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n "):
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0][0] != "n":
         raise ValueError("missing `n <count> directed` header")
-    header = lines[0].split()
-    if len(header) != 3 or header[2] != "directed":
-        raise ValueError(f"malformed header: {lines[0]!r}")
-    n = int(header[1])
-    edges = set()
-    pos: dict[int, tuple[float, float]] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "pos":
-            if len(parts) != 4:
-                raise ValueError(f"malformed pos line: {ln!r}")
+    if len(lines[0]) != 3 or lines[0][2] != "directed":
+        raise ValueError(f"malformed header: {' '.join(lines[0])!r}")
+    n = int(lines[0][1])
+    edges, pos = [], {}
+    for parts in lines[1:]:
+        kind = "pos" if parts[0] == "pos" else "edge"
+        if len(parts) != (4 if kind == "pos" else 2):
+            raise ValueError(f"malformed {kind} line: {' '.join(parts)!r}")
+        if kind == "pos":
             pos[int(parts[1])] = (float(parts[2]), float(parts[3]))
         else:
-            if len(parts) != 2:
-                raise ValueError(f"malformed edge line: {ln!r}")
-            edges.add((int(parts[0]), int(parts[1])))
+            edges.append(parts)
     positions = None
     if pos:
         if sorted(pos) != list(range(n)):
             raise ValueError("pos lines must cover every node exactly once")
         positions = tuple(pos[i] for i in range(n))
-    return Graph(n=n, edges=frozenset(edges), positions=positions)
+    return Graph(n=n, arcs=np.array(edges, dtype=np.int64), positions=positions)
 
 
 def save_graph(g: Graph, path) -> None:

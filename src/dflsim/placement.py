@@ -13,14 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import (
-    Graph,
-    bfs_clusters,
-    clustering_coefficients,
-    degree_centrality,
-    degree_variance_normalized,
-    eigenvector_centrality,
-)
+from .graphs import (Graph, bfs_clusters, bfs_regions, clustering_coefficients,
+                     degree_centrality, degree_variance_normalized)
 
 STRATEGY_IDS = ("random", "eigen", "degree", "maxspan", "maxspan-hop")
 
@@ -82,7 +76,7 @@ def place_centrality(g: Graph, n_advs: int,
     """The n_advs nodes with the highest centrality, ties by lowest index."""
     _check_count(g.n, n_advs)
     if measure == "eigen":
-        values = eigenvector_centrality(g)
+        values = g.eigen_centrality
     elif measure == "degree":
         values = degree_centrality(g).astype(float)
     else:
@@ -92,9 +86,9 @@ def place_centrality(g: Graph, n_advs: int,
                         strategy=measure)
 
 
-def influence_clusters(g: Graph, n_advs: int) -> list[frozenset[int]]:
-    """BFS influence region of every node, sized floor(n / n_advs)."""
-    return bfs_clusters(g, max(1, g.n // n_advs))
+# Up to this many nodes, recomputing every overlap on regions packed into
+# Python ints beats keeping the overlaps on arrays (they cross near 70).
+_BIT_GREEDY_MAX_N = 64
 
 
 def place_maxspan(g: Graph, n_advs: int, rng: np.random.Generator, *,
@@ -103,34 +97,36 @@ def place_maxspan(g: Graph, n_advs: int, rng: np.random.Generator, *,
 
     The first node is drawn uniformly at random (or pinned via `first`,
     a testing and analysis hook); each following pick is the honest node
-    whose BFS influence region overlaps least with the regions already
-    claimed, ties broken by lowest node index.
+    whose BFS influence region, sized floor(n / n_advs), overlaps least
+    with the regions already claimed, ties broken by lowest node index.
     """
     _check_count(g.n, n_advs)
-    clusters = influence_clusters(g, n_advs)
+    s_cluster = max(1, g.n // n_advs)
     if first is None:
         first = int(rng.integers(g.n))
     elif not (0 <= first < g.n):
         raise ValueError(f"first pick {first} out of range")
-    holders: list[list[int]] = [[] for _ in range(g.n)]  # clusters holding u
-    for v, cluster in enumerate(clusters):
-        for u in cluster:
-            holders[u].append(v)
-    overlap = [0] * g.n  # len(clusters[v] & covered), kept as covered grows
-    covered: set[int] = set()
-    honest = list(range(g.n))
-    members: list[int] = []
-    pick = first
-    while True:
-        members.append(pick)
-        if len(members) == n_advs:
-            return AdversarySet(members=tuple(members), strategy="maxspan")
-        honest.remove(pick)
-        for u in clusters[pick] - covered:
-            for v in holders[u]:
-                overlap[v] += 1
-        covered |= clusters[pick]
-        pick = min(honest, key=overlap.__getitem__)
+    members = [first]
+    if g.n <= _BIT_GREEDY_MAX_N:
+        regions, covered = bfs_regions(g, s_cluster), 0
+        while len(members) < n_advs:
+            covered |= regions[members[-1]]
+            overlap = [(region & covered).bit_count() for region in regions]
+            for v in members:
+                overlap[v] = g.n + 1
+            members.append(min(range(g.n), key=overlap.__getitem__))
+        return AdversarySet(members=tuple(members), strategy="maxspan")
+    member = bfs_clusters(g, s_cluster)
+    overlap = np.zeros(g.n, dtype=np.int64)  # kept as the covered nodes grow
+    covered = np.zeros(g.n, dtype=bool)
+    while len(members) < n_advs:
+        pick = members[-1]
+        fresh = member[pick] > covered
+        covered |= fresh
+        overlap += np.add.reduce(member.T[fresh])
+        overlap[pick] = g.n + 1  # above any overlap: no second pick
+        members.append(int(overlap.argmin()))  # ties: lowest index
+    return AdversarySet(members=tuple(members), strategy="maxspan")
 
 
 def hop_probability(c_hat: float, var_hat: float, params: HoppingParams,
@@ -175,16 +171,7 @@ def place_maxspan_hopping(g: Graph, n_advs: int, params: HoppingParams,
     base = place_maxspan(g, n_advs, rng, first=first)
     c_hat = _minmax(clustering_coefficients(g))
     var_hat = degree_variance_normalized(g)
-    centrality: Optional[np.ndarray] = None
-
-    def rank(v: int) -> tuple[float, int]:
-        # centrality is only needed once a hop has several candidates, so
-        # it is computed lazily, at most once per placement
-        nonlocal centrality
-        if centrality is None:
-            centrality = eigenvector_centrality(g)
-        return (float(centrality[v]), -v)
-
+    offsets, targets = g.out_csr
     members = list(base.members)
     current = set(members)
     trace = []
@@ -196,13 +183,15 @@ def place_maxspan_hopping(g: Graph, n_advs: int, params: HoppingParams,
             p = hop_probability(float(c_hat[start]), var_hat, params, t, g.n)
             if rng.random() >= p:
                 break
-            candidates = [v for v in g.out_neighbors[a] if v not in current]
+            candidates = [v for v in targets[offsets[a]:offsets[a + 1]].tolist()
+                          if v not in current]
             if not candidates:
                 break
             if len(candidates) == 1:
                 target = candidates[0]
-            else:
-                target = max(candidates, key=rank)
+            else:  # the graph's centrality is computed only now, once
+                target = max(candidates, key=lambda v: (
+                    float(g.eigen_centrality[v]), -v))
             current.remove(a)
             current.add(target)
             a = target

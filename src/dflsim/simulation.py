@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -131,12 +131,17 @@ def build_graph(cfg: SimulationConfig, rng: np.random.Generator) -> Graph:
     return GraphFamily(cfg.graph_family, cfg.graph_param).generate(cfg.n, rng)
 
 
-def _slot_table(sets: Sequence[tuple[int, ...]]
-                ) -> tuple[np.ndarray, np.ndarray]:
+def _slot_table(offsets: np.ndarray, nodes: np.ndarray,
+                with_self: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mixing sets as a (slot, row) index table padded with index n (the
-    zero row `_mix` appends), and the set sizes as a (row, 1) column."""
-    n, sizes = len(sets), np.array([len(s) for s in sets])
-    idx = np.array([s + (n,) * (sizes.max() - len(s)) for s in sets]).T
+    zero row `_mix` appends), and the set sizes as a (row, 1) column. Row
+    v's set is nodes[offsets[v]:offsets[v + 1]], then v where with_self[v]."""
+    n, count = len(offsets) - 1, np.diff(offsets)
+    sizes = count + with_self
+    idx = np.full((sizes.max(), n), n)
+    row = np.repeat(np.arange(n), count)
+    idx[np.arange(len(nodes)) - offsets[row], row] = nodes
+    idx[count[with_self], with_self] = np.flatnonzero(with_self)
     return idx, sizes[:, None].astype(float)
 
 
@@ -168,11 +173,12 @@ class Run:
         self.cfg, self.graph, self.batch = cfg, graph, batch
         self.X, self.Y, self.G = X, Y, G
         self.attack: Optional[tuple[np.ndarray, ShardBatch, float]] = None
-        self._x_table = _slot_table([graph.in_neighbors[i] + (i,)
-                                     for i in range(graph.n)])
+        # models mix in-neighbours, then self; literal_out trackers mix
+        # out-neighbours, or self alone where there are none
+        self._x_table = _slot_table(*graph.in_csr, np.ones(graph.n, bool))
+        offsets, nodes = graph.out_csr
         self._y_table = (self._x_table if cfg.tracker_mixing == "in_self"
-                         else _slot_table([graph.out_neighbors[i] or (i,)
-                                           for i in range(graph.n)]))
+                         else _slot_table(offsets, nodes, np.diff(offsets) == 0))
 
     @classmethod
     def start(cls, cfg: SimulationConfig, graph: Graph,

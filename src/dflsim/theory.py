@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, circulant_graph, eigenvector_centrality, gen_erdos_renyi
+from .graphs import Graph, circulant_graph, gen_erdos_renyi
 from .placement import place_maxspan
 
 
@@ -49,18 +49,18 @@ class AssumptionError(ValueError):
 
 def check_regular_symmetric(g: Graph) -> int:
     """Return the common degree d, or raise if g is not a symmetric
-    d-regular digraph."""
-    for i, j in g.edges:
-        if (j, i) not in g.edges:
-            raise AssumptionError(f"edge ({i}, {j}) has no reverse; "
-                                  "adjacency must be symmetric")
-    degrees = {len(ns) for ns in g.out_neighbors}
+    d-regular digraph, naming its lowest-index edge without a reverse."""
+    a = g.adjacency_mask()
+    one_way = np.argwhere(a > a.T)
+    if len(one_way):
+        raise AssumptionError(f"edge {tuple(one_way[0].tolist())} has no "
+                              "reverse; adjacency must be symmetric")
+    degrees = sorted(set(a.sum(axis=1).tolist()))
     if len(degrees) != 1:
-        raise AssumptionError(f"graph is not regular (degrees {sorted(degrees)})")
-    d = degrees.pop()
-    if d < 1:
+        raise AssumptionError(f"graph is not regular (degrees {degrees})")
+    if degrees[0] < 1:
         raise AssumptionError("degree must be at least 1")
-    return d
+    return degrees[0]
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class BoundScenario:
 
     @property
     def degree(self) -> int:
-        return len(self.graph.out_neighbors[0])
+        return check_regular_symmetric(self.graph)
 
     def targets(self) -> np.ndarray:
         rng = np.random.default_rng(self.data_seed)
@@ -167,7 +167,7 @@ def _bound_trials(scenario: BoundScenario, trials: int,
     m = g.adjacency_matrix() / check_regular_symmetric(g)
     adv = np.array(sorted(scenario.adversaries), dtype=int)
     hon = np.delete(np.arange(n), adv)
-    v = eigenvector_centrality(g)
+    v = g.eigen_centrality
     v_adv, v_hon = v[adv, None], v[hon, None]
     # node i's targets are rows i * n_samples.. of one (row, dim) table
     targets = scenario.targets().reshape(-1, p)

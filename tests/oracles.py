@@ -2,23 +2,23 @@
 
 The program computes each rule one way: the engine as batched
 (node, parameter) stacks, the lemma check as stacked blocks of trials,
-the maxspan greedy with each overlap kept as regions are claimed, and
-centrality with a stop on repeating iterates. The functions here
-compute the same quantities the plain way, one node, one model, one
-trial or one pair at a time, or recompute what the program carries
-over, and nothing in `dflsim` calls them.
+graphs on one sorted edge array, the maxspan greedy with each overlap
+kept as regions are claimed, and centrality with a stop on repeating
+iterates. The functions here compute the same quantities the plain way,
+one node, one model, one trial or one pair at a time, from the graph's
+`edges` frozenset, or recompute what the program carries over, and
+nothing in `dflsim` calls them.
 """
 import math
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from dflsim.graphs import (ConvergenceError, Graph, GraphError,
-                           eigenvector_centrality, graph_from_edges,
-                           is_strongly_connected)
+from dflsim.graphs import (ConvergenceError, EmptyGraphError, Graph,
+                           GraphError, eigenvector_centrality,
+                           graph_from_edges, is_strongly_connected)
 from dflsim.learning import (Dataset, Model, _softmax, batch_grads,
                              batch_poisoned_grads, loss_and_grad, model_dim)
-from dflsim.placement import influence_clusters
 from dflsim.simulation import Run, SimulationError, _mix
 from dflsim.theory import BoundScenario, check_regular_symmetric
 
@@ -74,12 +74,12 @@ def honest_step(i: int, g: Graph, x_prev: np.ndarray, y_prev: np.ndarray,
     out-neighbors without a self term. A node with an empty mixing set
     degenerates to self-only weights.
     """
-    in_set = list(g.in_neighbors[i]) + [i]
+    in_set = list(in_neighbors(g)[i]) + [i]
     x_i = x_prev[in_set].mean(axis=0) - alpha * y_prev[i]
     if tracker_mixing == "in_self":
         mix_set = in_set
     else:
-        mix_set = list(g.out_neighbors[i]) or [i]
+        mix_set = list(out_neighbors(g)[i]) or [i]
     y_mixed = y_prev[mix_set].mean(axis=0)
     y_i = y_mixed + grad_fn(x_i) - grad_prev
     return x_i, y_i
@@ -140,8 +140,8 @@ def consensus_only_step(x: np.ndarray, g: Graph, alpha: float,
     """
     d = check_regular_symmetric(g)
     mixed = np.zeros_like(x)
-    for i in range(g.n):
-        mixed[i] = x[list(g.out_neighbors[i])].sum(axis=0) / d
+    for i, ns in enumerate(out_neighbors(g)):
+        mixed[i] = x[list(ns)].sum(axis=0) / d
     return mixed - alpha * grads
 
 
@@ -210,6 +210,73 @@ class UnreachableError(GraphError):
     """A shortest-path query hit an unreachable node pair."""
 
 
+def out_neighbors(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Each node's out-neighbours, ascending, from the edge set."""
+    out: list[list[int]] = [[] for _ in range(g.n)]
+    for i, j in g.edges:
+        out[i].append(j)
+    return tuple(tuple(sorted(ns)) for ns in out)
+
+
+def in_neighbors(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Each node's in-neighbours, ascending, from the edge set."""
+    inn: list[list[int]] = [[] for _ in range(g.n)]
+    for i, j in g.edges:
+        inn[j].append(i)
+    return tuple(tuple(sorted(ns)) for ns in inn)
+
+
+def csr_tuples(csr: tuple[np.ndarray, np.ndarray]) -> tuple[tuple[int, ...], ...]:
+    """A `Graph.out_csr` or `in_csr` pair as one tuple per node."""
+    offsets, nodes = csr
+    return tuple(tuple(nodes[a:b].tolist())
+                 for a, b in zip(offsets[:-1], offsets[1:]))
+
+
+def adjacency_mask(g: Graph) -> np.ndarray:
+    """Dense boolean adjacency, set edge by edge."""
+    a = np.zeros((g.n, g.n), dtype=bool)
+    for i, j in g.edges:
+        a[i, j] = True
+    return a
+
+
+def graph_text(g: Graph) -> str:
+    """The edge-list text form, written from the sorted edge set."""
+    lines = [f"n {g.n} directed"]
+    for i, j in sorted(g.edges):
+        lines.append(f"{i} {j}")
+    if g.positions is not None:
+        for i, (x, y) in enumerate(g.positions):
+            lines.append(f"pos {i} {x!r} {y!r}")
+    return "\n".join(lines) + "\n"
+
+
+def apply_failures(g: Graph, p_node: float, p_link: float,
+                   rng: np.random.Generator) -> tuple[Graph, dict[int, int]]:
+    """The failure event on the edge set: one node draw each, then one
+    link draw for each edge between survivors, in sorted order."""
+    node_alive = rng.random(g.n) >= p_node
+    survivors = [v for v in range(g.n) if node_alive[v]]
+    if not survivors:
+        raise EmptyGraphError("every node failed")
+    index_map = {old: new for new, old in enumerate(survivors)}
+    kept_edges = sorted((i, j) for i, j in g.edges
+                        if node_alive[i] and node_alive[j])
+    link_alive = rng.random(len(kept_edges)) >= p_link
+    new_edges = [(index_map[i], index_map[j])
+                 for (i, j), ok in zip(kept_edges, link_alive) if ok]
+    new_pos = None
+    if g.positions is not None:
+        new_pos = tuple(g.positions[v] for v in survivors)
+    return graph_from_edges(len(survivors), new_edges, new_pos), index_map
+
+
+def cluster_sets(member: np.ndarray) -> list[frozenset[int]]:
+    """A cluster-membership matrix as one node set per root."""
+    return [frozenset(np.flatnonzero(row).tolist()) for row in member]
+
+
 def complete_graph(n: int) -> Graph:
     return graph_from_edges(
         n, ((i, j) for i in range(n) for j in range(n) if i != j))
@@ -217,6 +284,7 @@ def complete_graph(n: int) -> Graph:
 
 def hop_distances(g: Graph, source: int) -> np.ndarray:
     """Directed hop distance from source to every node (-1 if unreachable)."""
+    out = out_neighbors(g)
     dist = np.full(g.n, -1, dtype=int)
     dist[source] = 0
     frontier = [source]
@@ -225,7 +293,7 @@ def hop_distances(g: Graph, source: int) -> np.ndarray:
         d += 1
         nxt = []
         for v in frontier:
-            for w in g.out_neighbors[v]:
+            for w in out[v]:
                 if dist[w] < 0:
                     dist[w] = d
                     nxt.append(w)
@@ -296,14 +364,17 @@ def clustering_coefficients(g: Graph) -> np.ndarray:
     return out
 
 
-def bfs_cluster(g: Graph, root: int, s_cluster: int) -> frozenset[int]:
-    """One root's BFS influence region, visiting each level in index order."""
+def bfs_cluster(g: Graph, root: int, s_cluster: int,
+                out: Optional[tuple] = None) -> frozenset[int]:
+    """One root's BFS influence region, visiting each level in index order.
+    `out` is `out_neighbors(g)`, if already at hand."""
+    out = out or out_neighbors(g)
     visited = {root}
     frontier = [root]
     while frontier and len(visited) < s_cluster:
         nxt = []
         for v in frontier:
-            for w in g.out_neighbors[v]:
+            for w in out[v]:
                 if w not in visited:
                     visited.add(w)
                     nxt.append(w)
@@ -313,12 +384,18 @@ def bfs_cluster(g: Graph, root: int, s_cluster: int) -> frozenset[int]:
 
 # ------------------------------ placement ----------------------------- #
 
+def influence_clusters(g: Graph, n_advs: int) -> list[frozenset[int]]:
+    """Every node's BFS influence region, sized floor(n / n_advs), as
+    `place_maxspan` sizes them."""
+    out = out_neighbors(g)
+    return [bfs_cluster(g, v, max(1, g.n // n_advs), out) for v in range(g.n)]
+
+
 def maxspan_members(g: Graph, n_advs: int, first: int) -> tuple[int, ...]:
     """`place_maxspan` from a pinned first pick, rescanning every honest
     node's overlap with the claimed regions at every pick; the regions
     come from `bfs_cluster`."""
-    s_cluster = max(1, g.n // n_advs)
-    clusters = [bfs_cluster(g, v, s_cluster) for v in range(g.n)]
+    clusters = influence_clusters(g, n_advs)
     members = [first]
     covered = set(clusters[first])
     honest = sorted(set(range(g.n)) - {first})

@@ -25,7 +25,7 @@ from dflsim.graphs import (
 )
 from dflsim.learning import Dataset
 from dflsim.metrics import compute_aal
-from dflsim.placement import influence_clusters, place_centrality, place_maxspan
+from dflsim.placement import place_centrality, place_maxspan
 from dflsim.simulation import (
     Simulation,
     SimulationConfig,
@@ -36,7 +36,8 @@ from dflsim.simulation import (
 )
 from dflsim.sweep import run_experiment
 from dflsim.theory import complexity_probe, default_scenario_grid, verify_lower_bound
-from oracles import accuracy, hop_distances, train_centralized
+from oracles import (accuracy, cluster_sets, hop_distances, influence_clusters,
+                     train_centralized)
 
 STRATEGIES = ("random", "eigen", "degree", "maxspan", "maxspan-hop")
 SEEDS = tuple(range(1, 21))
@@ -169,7 +170,7 @@ def test_criterion_2_placement_oracles():
             else:
                 radius = reach[s - 1]
                 expect = {v for v in range(g.n) if 0 <= dist[v] <= radius}
-            assert bfs_clusters(g, s)[root] == expect
+            assert cluster_sets(bfs_clusters(g, s))[root] == expect
 
     # the pa m0=1 trees of the topology workload: bipartite, so power
     # iteration on the adjacency alone oscillates

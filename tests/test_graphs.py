@@ -31,8 +31,12 @@ from oracles import (
     FAMILIES,
     UnreachableError,
     clustering_coefficients as set_clustering,
+    cluster_sets,
     complete_graph,
+    csr_tuples,
     hop_distances,
+    in_neighbors,
+    out_neighbors,
     power_iteration_centrality,
     total_pairwise_distance,
 )
@@ -84,8 +88,8 @@ class TestGraphType:
 
     def test_neighbor_views(self):
         g = graph_from_edges(3, [(0, 1), (1, 2), (2, 0)])
-        assert g.out_neighbors == ((1,), (2,), (0,))
-        assert g.in_neighbors == ((2,), (0,), (1,))
+        assert csr_tuples(g.out_csr) == ((1,), (2,), (0,))
+        assert csr_tuples(g.in_csr) == ((2,), (0,), (1,))
         assert g.adjacency_mask().tolist() == [[False, True, False],
                                                [False, False, True],
                                                [True, False, False]]
@@ -94,7 +98,7 @@ class TestGraphType:
 class TestErdosRenyi:
     def test_p_one_gives_complete_graph(self):
         g = gen_erdos_renyi(3, 1.0, np.random.default_rng(0))
-        assert g.n_edges == 6
+        assert len(g.arcs) == 6
 
     def test_deterministic_under_seed(self):
         a = gen_erdos_renyi(25, 0.3, np.random.default_rng(7))
@@ -105,7 +109,7 @@ class TestErdosRenyi:
         # oracle: E = n(n-1)p = 180, se of the mean over 1000 draws
         total = 0
         for seed in range(1000):
-            total += gen_erdos_renyi(25, 0.3, np.random.default_rng(seed)).n_edges
+            total += len(gen_erdos_renyi(25, 0.3, np.random.default_rng(seed)).arcs)
         expected = 25 * 24 * 0.3
         se = math.sqrt(600 * 0.3 * 0.7 / 1000)
         assert abs(total / 1000 - expected) < 3 * se
@@ -134,8 +138,8 @@ class TestDirectedGeometric:
     def test_edge_count_monotone_in_radius(self):
         # same positions, growing radius: edge sets are nested
         pos = np.random.default_rng(5).random((25, 2))
-        small = geometric_edges(pos, 0.2)
-        large = geometric_edges(pos, 0.6)
+        small = set(map(tuple, geometric_edges(pos, 0.2).tolist()))
+        large = set(map(tuple, geometric_edges(pos, 0.6).tolist()))
         assert small <= large
         assert len(large) > len(small)
 
@@ -149,7 +153,7 @@ class TestDirectedGeometric:
         """The rejection loop the batched sampler must reproduce."""
         for _ in range(max_retries):
             pos = rng.random((n, 2))
-            g = Graph(n=n, edges=geometric_edges(pos, r),
+            g = Graph(n=n, arcs=geometric_edges(pos, r),
                       positions=tuple((float(x), float(y)) for x, y in pos))
             if is_strongly_connected(g):
                 return g
@@ -185,7 +189,7 @@ class TestDirectedGeometric:
 class TestPreferentialAttachment:
     def test_m0_one_is_tree(self):
         g = gen_preferential_attachment(3, 1, np.random.default_rng(0))
-        assert g.n_edges == 4  # 2 attachments, both directions
+        assert len(g.arcs) == 4  # 2 attachments, both directions
 
     def test_deterministic_under_seed(self):
         a = gen_preferential_attachment(25, 1, np.random.default_rng(11))
@@ -362,8 +366,8 @@ class TestDegreeAndClustering:
     def test_match_neighbor_sets(self, family, n, seed):
         g = GraphFamily(*family).generate(n, np.random.default_rng(seed))
         degree = degree_centrality(g)
-        assert degree.tolist() == [len(g.out_neighbors[v])
-                                   + len(g.in_neighbors[v])
+        out, inn = out_neighbors(g), in_neighbors(g)
+        assert degree.tolist() == [len(out[v]) + len(inn[v])
                                    for v in range(n)]
         assert clustering_coefficients(g).tobytes() == \
             set_clustering(g).tobytes()
@@ -393,11 +397,11 @@ class TestDegreeAndClustering:
 class TestBfsCluster:
     def test_size_one(self):
         g = complete_graph(5)
-        assert bfs_clusters(g, 1)[3] == frozenset({3})
+        assert cluster_sets(bfs_clusters(g, 1))[3] == frozenset({3})
 
     def test_directed_path(self):
         g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        assert bfs_clusters(g, 3)[0] == frozenset({0, 1, 2})
+        assert cluster_sets(bfs_clusters(g, 3))[0] == frozenset({0, 1, 2})
 
     def test_matches_hop_distance_oracle(self):
         rng = np.random.default_rng(17)
@@ -405,7 +409,7 @@ class TestBfsCluster:
             g = random_digraph(10, 0.25, rng)
             root = int(rng.integers(10))
             s = int(rng.integers(1, 11))
-            got = bfs_clusters(g, s)[root]
+            got = cluster_sets(bfs_clusters(g, s))[root]
             dist = hop_distances(g, root)
             reach = sorted(d for d in dist if d >= 0)
             if len(reach) <= s:
@@ -417,7 +421,7 @@ class TestBfsCluster:
 
     def test_full_cluster_on_strongly_connected(self):
         g = gen_erdos_renyi(9, 0.35, np.random.default_rng(2))
-        assert bfs_clusters(g, 9)[0] == frozenset(range(9))
+        assert cluster_sets(bfs_clusters(g, 9))[0] == frozenset(range(9))
 
 
 class TestTotalPairwiseDistance:
@@ -518,7 +522,7 @@ class TestSerialization:
 
 def test_circulant_graph_regular():
     g = circulant_graph(8, (1, 4))
-    assert all(len(ns) == 3 for ns in g.out_neighbors)
+    assert all(len(ns) == 3 for ns in out_neighbors(g))
     assert is_strongly_connected(g)
 
 

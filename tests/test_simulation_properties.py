@@ -21,7 +21,8 @@ from dflsim.simulation import (
     _slot_table,
     clear_memo,
 )
-from oracles import advance_recomputing, adversary_step, honest_step
+from oracles import (advance_recomputing, adversary_step, honest_step,
+                     in_neighbors, out_neighbors)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None,
@@ -184,7 +185,10 @@ def test_mix_has_the_bits_of_each_set_mean(case):
     v[rng.random((2, n, 5)) < 0.2] = -0.0
     want = np.array([[v[r][list(s)].mean(axis=0) for s in sets]
                      for r in range(2)])
-    assert _mix(v, _slot_table(sets)).tobytes() == want.tobytes()
+    offsets = np.cumsum([0] + [len(s) for s in sets])
+    nodes = np.array([u for s in sets for u in s])
+    table = _slot_table(offsets, nodes, np.zeros(n, dtype=bool))
+    assert _mix(v, table).tobytes() == want.tobytes()
 
 
 @PROPERTY
@@ -200,10 +204,11 @@ def test_mixing_rows_are_stochastic_before_and_after_failures(cfg):
         g = run.graph
         w_x = mixing_matrix(run._x_table, g.n)
         w_y = mixing_matrix(run._y_table, g.n)
+        out, inn = out_neighbors(g), in_neighbors(g)
         for i in range(g.n):
-            x_set = set(g.in_neighbors[i]) | {i}
+            x_set = set(inn[i]) | {i}
             y_set = (x_set if cfg.tracker_mixing == "in_self"
-                     else set(g.out_neighbors[i]) or {i})
+                     else set(out[i]) or {i})
             assert set(np.flatnonzero(w_x[i])) == x_set, stage
             assert set(np.flatnonzero(w_y[i])) == y_set, stage
         np.testing.assert_allclose(w_x.sum(axis=1), 1.0, rtol=0, atol=1e-12)
