@@ -67,13 +67,13 @@ def _cmd_plot(args) -> int:
     return EXIT_OK
 
 
-# Lemma-config keys: (type, default). The list-valued keys give one
-# scenario per value.
-_LEMMA_KEYS = {"n_advs": (int, [1, 2, 3]),
-               "delta_min": (float, [0.5, 1.0, 2.0]),
-               "horizon": (int, 20), "alpha": (float, 0.05), "dim": (int, 2),
-               "trials": (int, 200), "data_seed": (int, 0),
-               "rng_seed": (int, 0)}
+# Lemma-config keys and their kinds; a kind in a list takes a list, one
+# scenario per value. default_scenario_grid holds the defaults of all but
+# trials and rng_seed, and _GRID_ARGS renames its arguments.
+_LEMMA_KEYS = {"n_advs": [int], "delta_min": [float], "horizon": int,
+               "alpha": float, "dim": int, "data_seed": int, "trials": int,
+               "rng_seed": int}
+_GRID_ARGS = {"n_advs": "n_advs_values", "delta_min": "delta_values"}
 
 
 def _lemma_grid_from_config(path: str):
@@ -91,27 +91,26 @@ def _lemma_grid_from_config(path: str):
     if unknown:
         raise ConfigError(f"unknown keys in lemma config: {sorted(unknown)}")
     values = {}
-    for key, (kind, default) in _LEMMA_KEYS.items():
-        value = raw.get(key, default)
-        if not isinstance(default, list):
+    for key, value in raw.items():
+        kind = _LEMMA_KEYS[key]
+        if not isinstance(kind, list):
             values[key] = coerce(key, value, kind)
         elif isinstance(value, list) and value:
-            values[key] = tuple(coerce(key, v, kind) for v in value)
+            values[key] = tuple(coerce(key, v, kind[0]) for v in value)
         else:
             raise ConfigError(f"{key}: expected a non-empty list, "
                               f"got {value!r}")
     for key, least in (("trials", 1), ("data_seed", 0), ("rng_seed", 0)):
-        if values[key] < least:
+        if values.get(key, least) < least:
             raise ConfigError(f"{key}: need at least {least}, "
                               f"got {values[key]}")
+    trials, rng_seed = values.pop("trials", 200), values.pop("rng_seed", 0)
     try:
-        grid = default_scenario_grid(
-            n_advs_values=values["n_advs"], delta_values=values["delta_min"],
-            horizon=values["horizon"], alpha=values["alpha"],
-            dim=values["dim"], data_seed=values["data_seed"])
+        grid = default_scenario_grid(**{_GRID_ARGS.get(key, key): value
+                                        for key, value in values.items()})
     except AssumptionError as exc:
         raise ConfigError(str(exc)) from exc
-    return grid, values["trials"], values["rng_seed"]
+    return grid, trials, rng_seed
 
 
 def _write_bound_report(rows: list[BoundResult], path: Path) -> None:
@@ -165,6 +164,8 @@ def _cmd_complexity_probe(args) -> int:
         problem = f"--sizes must be ascending, got {args.sizes}"
     elif args.repeats < 1:
         problem = f"--repeats must be at least 1, got {args.repeats}"
+    elif not 0 < args.fraction <= 1:  # nan too
+        problem = f"--fraction must be in (0, 1], got {args.fraction}"
     if problem:
         print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG

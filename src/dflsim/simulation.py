@@ -7,15 +7,16 @@ adversarial nodes, once the attack epoch passes, ignore their neighbors
 and descend on an FGSM-poisoned copy of their own shard.
 
 A placement is scored against the adversary-free run on the same network,
-data and failure event. That run does not depend on the placement, so it
-runs once per key (the config with the fields only the attack reads
-blanked, plus the graph) and is kept in a one-entry per-process memo:
-its state after the failure event at t_attack + 1, its final state, and
-every node's test accuracy at every epoch. Each placement then advances
-only its attacked run from there, as one (node, parameter) stack, and
-reads its baseline trace, and its attacked trace through t_attack, from
-the memoised accuracies. The per-node reference rules the tests check
-this engine against live in tests/oracles.py.
+data and failure event. That run does not depend on the placement, so
+`run_adversary_free` computes it once per network as a `Baseline` (the
+config with the fields only the attack reads blanked, on the graph): its
+state after the failure event at t_attack + 1, its final state, and every
+node's test accuracy at every epoch. A `Simulation` given that baseline
+advances only its attacked run from there, as one (node, parameter)
+stack, and reads its baseline trace, and its attacked trace through
+t_attack, from the baseline's accuracies; one given none computes its own.
+The per-node reference rules the tests check this engine against live in
+tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -274,7 +275,12 @@ def adversary_free(cfg: SimulationConfig) -> SimulationConfig:
     return replace(cfg, **_ATTACK_BLANK)
 
 
-def _run_adversary_free(cfg: SimulationConfig, graph: Graph) -> Baseline:
+def run_adversary_free(cfg: SimulationConfig, graph: Graph) -> Baseline:
+    """The adversary-free run of cfg's network on graph: the baseline every
+    placement of cfg (whatever its attack fields) is scored against."""
+    if graph.n != cfg.n:
+        raise SimulationError("provided graph size disagrees with config")
+    cfg = adversary_free(cfg)
     streams = seed_streams(cfg.seed)
     train = learning.synth_dataset(cfg.classes, cfg.feature_dim, cfg.per_class,
                                    cfg.spread, streams["data"])
@@ -311,30 +317,6 @@ def _run_adversary_free(cfg: SimulationConfig, graph: Graph) -> Baseline:
     return Baseline(shards, test_set, alive, acc, start, end, error)
 
 
-# The latest adversary-free run, by key. A sweep runs all the cells that
-# share a run as one task, in a row and in one process (see `sweep`), so
-# one entry gets every reuse.
-_memo: dict[tuple[SimulationConfig, Graph], Baseline] = {}
-
-
-def adversary_free_run(cfg: SimulationConfig, graph: Graph) -> Baseline:
-    """The adversary-free run of cfg on graph, from the memo when the
-    latest run had the same key. A run whose epochs raised is not kept."""
-    key = (adversary_free(cfg), graph)
-    base = _memo.get(key)
-    if base is None:
-        base = _run_adversary_free(key[0], graph)
-        if base.error is None:
-            _memo.clear()
-            _memo[key] = base
-    return base
-
-
-def clear_memo() -> None:
-    """Forget every memoised adversary-free run."""
-    _memo.clear()
-
-
 def _metrics(epoch: int, accs: np.ndarray) -> EpochMetrics:
     """The trace entry of one epoch from the counted nodes' accuracies."""
     if len(accs) == 0:
@@ -345,16 +327,19 @@ def _metrics(epoch: int, accs: np.ndarray) -> EpochMetrics:
 
 class Simulation:
     """A placement's attacked run and the adversary-free run it is scored
-    against, which every placement of the same network shares."""
+    against, which every placement of the same network can share: pass it
+    as `base` (see `run_adversary_free`), or leave it to be computed."""
 
-    def __init__(self, cfg: SimulationConfig, graph: Optional[Graph] = None):
+    def __init__(self, cfg: SimulationConfig, graph: Optional[Graph] = None,
+                 base: Optional[Baseline] = None):
         self.cfg = cfg
         streams = seed_streams(cfg.seed)
         self.graph = graph if graph is not None else build_graph(
             cfg, streams["graph"])
         if self.graph.n != cfg.n:
             raise SimulationError("provided graph size disagrees with config")
-        self.base = adversary_free_run(cfg, self.graph)
+        self.base = base if base is not None else run_adversary_free(
+            cfg, self.graph)
 
         # Placed nodes act as adversaries only in the attacked run, but both
         # traces leave them out of the accuracy average, so the traces are

@@ -4,14 +4,15 @@ Each sweep cell runs one simulation (attacked plus its adversary-free
 twin) and writes two trace CSVs. Graphs are generated once per
 (family, param, n, seed) before dispatch and cached as edge-list files,
 so concurrent cells share them read-only. The cells that share an
-adversary-free run (a key) form one task: a process runs them in a row,
-so its memo computes that run once for all of them, and the pool has at
-most one process per key. The summary is assembled by a single
-aggregator in deterministic cell order whatever the worker count.
+adversary-free run (a key) form one task, which loads the key's graph
+and computes that run once for all of them; the pool has at most one
+process per key. The summary is assembled by a single aggregator in
+deterministic cell order whatever the worker count.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import multiprocessing
 import os
@@ -20,13 +21,14 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .config import ConfigError, ExperimentSpec, SweepCell
-from .graphs import load_graph, save_graph
+from .graphs import Graph, load_graph, save_graph
 from .metrics import compute_aal
-from .simulation import (SimulationConfig, adversary_free, build_graph,
-                         run_simulation, seed_streams)
+from .simulation import (Baseline, Simulation, SimulationConfig,
+                         adversary_free, build_graph, run_adversary_free,
+                         seed_streams)
 
 WORKERS_ENV = "DFLSIM_WORKERS"
 
@@ -99,13 +101,15 @@ def _write_trace(path: Path, run_id: str, variant: str, trace) -> None:
                              repr(entry.accuracy), entry.n_honest_alive])
 
 
-def run_cell(cell: SweepCell, out_dir: str, graph_path: str) -> CellOutcome:
-    """Execute one cell and write its two trace files. Worker-safe."""
+def run_cell(cell: SweepCell, out_dir: str,
+             network: Callable[[], tuple[Graph, Baseline]]) -> CellOutcome:
+    """Execute one cell and write its two trace files. `network()` gives
+    its graph and adversary-free run. Worker-safe."""
     cfg = cell.cfg
     run_id = cell.run_id
     try:
-        graph = load_graph(graph_path)
-        attacked, baseline = run_simulation(cfg, graph=graph)
+        graph, base = network()
+        attacked, baseline = Simulation(cfg, graph, base).run()
         traces = Path(out_dir) / "traces"
         _write_trace(traces / f"{run_id}__attacked.csv", run_id, "attacked",
                      attacked)
@@ -119,12 +123,19 @@ def run_cell(cell: SweepCell, out_dir: str, graph_path: str) -> CellOutcome:
         return CellOutcome(run_id=run_id, error=detail)
 
 
-def _run_key(jobs: list[tuple]) -> list[CellOutcome]:
-    """Run the cells of one key in a row, in one process, so the memo
-    computes their adversary-free run once. `run_cell` is looked up at
-    call time, so a pool child forked from a process that replaced it
-    runs the replacement."""
-    return [run_cell(*args) for args in jobs]
+def _run_key(cells: list[SweepCell], out_dir: str,
+             graph_path: str) -> list[CellOutcome]:
+    """Run the cells of one key in a row, in one process. The first cell
+    loads the key's graph and computes its adversary-free run, and the
+    rest reuse them; if either raises, the next cell tries again.
+    `run_cell` is looked up at call time, so a pool child forked from a
+    process that replaced it runs the replacement."""
+    @functools.cache
+    def network() -> tuple[Graph, Baseline]:
+        graph = load_graph(graph_path)
+        return graph, run_adversary_free(cells[0].cfg, graph)
+
+    return [run_cell(cell, out_dir, network) for cell in cells]
 
 
 def _pregenerate_graphs(cells: list[SweepCell], graph_dir: Path
@@ -188,28 +199,28 @@ def run_experiment(spec: ExperimentSpec, output_dir: Optional[str] = None,
     graph_paths, graph_errors = _pregenerate_graphs(cells, graph_dir)
 
     done: dict[int, CellOutcome] = {}
-    groups: dict[SimulationConfig, list] = {}
+    groups: dict[SimulationConfig, list[int]] = {}
     for idx, cell in enumerate(cells):
         key = graph_cache_key(cell.cfg)
         if key in graph_errors:
             done[idx] = CellOutcome(run_id=cell.run_id,
                                     error=graph_errors[key])
         else:
-            groups.setdefault(adversary_free(cell.cfg), []).append(
-                (idx, (cell, str(out), str(graph_paths[key]))))
-    tasks = [[args for _, args in group] for group in groups.values()]
+            groups.setdefault(adversary_free(cell.cfg), []).append(idx)
+    tasks = [[cells[idx] for idx in group] for group in groups.values()]
+    args = (tasks, [str(out)] * len(tasks),
+            [str(graph_paths[graph_cache_key(task[0].cfg)]) for task in tasks])
     n_workers = min(n_workers, len(tasks))
     if n_workers > 1:
         # fork, so that the children run the `run_cell` this process has
         with ProcessPoolExecutor(
                 n_workers, mp_context=multiprocessing.get_context("fork")
                 ) as pool:
-            results = list(pool.map(_run_key, tasks))
+            results = list(pool.map(_run_key, *args))
     else:
-        results = [_run_key(task) for task in tasks]
+        results = list(map(_run_key, *args))
     for group, outcomes in zip(groups.values(), results):
-        for (idx, _), outcome in zip(group, outcomes):
-            done[idx] = outcome
+        done.update(zip(group, outcomes))
     outcomes = [done[idx] for idx in range(len(cells))]
 
     summary_rows = [o.summary_row for o in outcomes if o.summary_row]

@@ -30,8 +30,7 @@ from dflsim.simulation import (
     Simulation,
     SimulationConfig,
     build_graph,
-    clear_memo,
-    run_simulation,
+    run_adversary_free,
     seed_streams,
 )
 from dflsim.sweep import run_experiment
@@ -55,8 +54,10 @@ def study_config(**overrides) -> SimulationConfig:
     return SimulationConfig(**base)
 
 
-def aal_for(cfg: SimulationConfig, graph) -> float:
-    attacked, baseline = run_simulation(cfg, graph=graph)
+def aal_for(cfg: SimulationConfig, graph, base=None) -> float:
+    """cfg's AAL on graph, against `base` if given (the adversary-free run
+    of cfg's network), else against a run computed for it."""
+    attacked, baseline = Simulation(cfg, graph, base).run()
     return compute_aal(baseline, attacked, cfg.t_attack)
 
 
@@ -79,25 +80,43 @@ def er_graphs():
     return graph_bank("er", 0.3, 25)
 
 
+def baseline_bank(bank: dict[int, object], **overrides) -> dict[int, object]:
+    """Each seed's adversary-free run on its bank graph, which every
+    strategy and attack power of that seed shares."""
+    return {seed: run_adversary_free(study_config(seed=seed, **overrides),
+                                     graph)
+            for seed, graph in bank.items()}
+
+
 @pytest.fixture(scope="session")
-def dg_aal_table(dg_graphs):
+def dg_bases(dg_graphs):
+    return baseline_bank(dg_graphs)
+
+
+@pytest.fixture(scope="session")
+def er_bases(er_graphs):
+    return baseline_bank(er_graphs, graph_family="er", graph_param=0.3)
+
+
+@pytest.fixture(scope="session")
+def dg_aal_table(dg_graphs, dg_bases):
     """Mean-AAL inputs on sparse geometric graphs: strategy -> per-seed AALs."""
     table = {}
     for strategy in STRATEGIES:
         table[strategy] = [
             aal_for(study_config(strategy=strategy, seed=seed),
-                    dg_graphs[seed]) for seed in SEEDS]
+                    dg_graphs[seed], dg_bases[seed]) for seed in SEEDS]
     return table
 
 
 @pytest.fixture(scope="session")
-def er_aal_table(er_graphs):
+def er_aal_table(er_graphs, er_bases):
     table = {}
     for strategy in STRATEGIES:
         table[strategy] = [
             aal_for(study_config(graph_family="er", graph_param=0.3,
                                  strategy=strategy, seed=seed),
-                    er_graphs[seed]) for seed in SEEDS]
+                    er_graphs[seed], er_bases[seed]) for seed in SEEDS]
     return table
 
 
@@ -247,11 +266,12 @@ def test_criterion_5_er_placement_insensitivity(dg_aal_table, er_aal_table):
     assert elapsed < 300
 
 
-def test_criterion_6_attack_power_monotonicity(dg_graphs):
+def test_criterion_6_attack_power_monotonicity(dg_graphs, dg_bases):
     t0 = time.time()
     grid = (50.0, 100.0, 250.0, 500.0, 1000.0)
     per_eps = {eps: [aal_for(study_config(epsilon=eps, seed=seed),
-                             dg_graphs[seed]) for seed in SEEDS]
+                             dg_graphs[seed], dg_bases[seed])
+                     for seed in SEEDS]
                for eps in grid}
     means = [float(np.mean(per_eps[eps])) for eps in grid]
     inversions = 0
@@ -331,9 +351,7 @@ def test_criterion_9_determinism_and_plumbing(tmp_path):
 
     # byte-identical CSV and SVG outputs across reruns, each computing its
     # adversary-free runs afresh
-    clear_memo()
     first = run_experiment(spec, output_dir=tmp_path / "a")
-    clear_memo()
     second = run_experiment(spec, output_dir=tmp_path / "b")
     mismatches = []
     for path in sorted((tmp_path / "a").rglob("*.csv")):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from dflsim import simulation
+from dflsim import sweep
 from dflsim.cli import main
 from dflsim.config import parse_config
 from dflsim.metrics import EpochMetrics, compute_aal
@@ -15,7 +15,6 @@ from dflsim.plots import (
     render_aal_bars,
     render_accuracy_plot,
 )
-from dflsim.simulation import clear_memo
 from dflsim.sweep import run_experiment
 
 TINY_CONFIG = """
@@ -109,7 +108,6 @@ class TestRunExperiment:
         config, out, _ = tiny_run
         spec = parse_config(config)
         second = tmp_path / "again"
-        clear_memo()  # compute the adversary-free runs again
         run_experiment(spec, output_dir=second)
         for path in sorted(out.rglob("*.csv")):
             twin = second / path.relative_to(out)
@@ -133,25 +131,21 @@ class TestRunExperiment:
         config.write_text(SHARED_CONFIG)
         spec = parse_config(config)
         computed = []
-        compute = simulation._run_adversary_free
+        compute = sweep.run_adversary_free
 
         def counting(cfg, graph):
             computed.append(cfg.seed)
             return compute(cfg, graph)
 
-        monkeypatch.setattr(simulation, "_run_adversary_free", counting)
+        monkeypatch.setattr(sweep, "run_adversary_free", counting)
         runs = {}
         for workers in (1, 2):
-            clear_memo()
             runs[workers] = tmp_path / f"w{workers}"
             run_experiment(spec, output_dir=runs[workers], workers=workers)
-            # seed 11's run raised, so the serial run keeps seed 31's;
-            # the pool's children kept theirs
-            assert [key.seed for key, _ in simulation._memo] == \
-                ([31] if workers == 1 else [])
         # serially, each adversary-free run is computed once for all its
-        # cells, except seed 11's, which raises in each of them
-        assert computed == [3, 2, 31, 11, 11, 11]
+        # cells, seed 11's too, whose run raises in each of them (the
+        # pool's children count in their own memory)
+        assert computed == [3, 2, 31, 11]
         files = sorted(p.relative_to(runs[1]) for p in runs[1].rglob("*.csv"))
         assert files == sorted(p.relative_to(runs[2])
                                for p in runs[2].rglob("*.csv"))
@@ -173,6 +167,47 @@ class TestRunExperiment:
             ("maxspan", "3"), ("maxspan", "2"), ("random", "3"),
             ("random", "2"), ("degree", "3"), ("degree", "2"),
             ("degree", "31")]
+
+    def test_malformed_cached_graph_fails_only_its_key(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "graphs").mkdir(parents=True)
+        (out / "graphs" / "dg0.6_n10_s2.txt").write_text("not a graph\n")
+        config = tmp_path / "tiny.yaml"
+        config.write_text(TINY_CONFIG.format(out=out))
+        result = run_experiment(parse_config(config))
+        assert result.n_cells == 4 and result.n_failed == 2
+        failures = read_csv(out / "failures.csv")
+        assert [f["run_id"].split("_")[0] for f in failures] == \
+            ["random", "maxspan"]
+        assert all(f["run_id"].endswith("_s2") for f in failures)
+        assert {f["error"] for f in failures} == \
+            {"ValueError: missing `n <count> directed` header"}
+        assert [(r["strategy"], r["seed"])
+                for r in read_csv(out / "summary.csv")] == \
+            [("random", "1"), ("maxspan", "1")]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_adversary_free_run_fails_only_its_key(
+            self, tmp_path, monkeypatch, workers):
+        compute = sweep.run_adversary_free
+
+        def failing(cfg, graph):
+            if cfg.seed == 1:
+                raise RuntimeError(f"no run for seed {cfg.seed}")
+            return compute(cfg, graph)
+
+        monkeypatch.setattr(sweep, "run_adversary_free", failing)
+        config = tmp_path / "tiny.yaml"
+        config.write_text(TINY_CONFIG.format(out=tmp_path / "out"))
+        result = run_experiment(parse_config(config), workers=workers)
+        assert result.n_failed == 2
+        assert [(f["run_id"].split("_")[0], f["error"])
+                for f in read_csv(tmp_path / "out" / "failures.csv")] == [
+            ("random", "RuntimeError: no run for seed 1"),
+            ("maxspan", "RuntimeError: no run for seed 1")]
+        assert [(r["strategy"], r["seed"])
+                for r in read_csv(result.summary_path)] == \
+            [("random", "2"), ("maxspan", "2")]
 
     def test_empty_sweep_succeeds(self, tmp_path):
         config = tmp_path / "empty.yaml"
@@ -460,7 +495,9 @@ class TestCliVerbs:
                                       ["--sizes", "40", "1"],
                                       ["--sizes", "80", "40"],
                                       ["--repeats", "0"],
-                                      ["--repeats", "-2"]])
+                                      ["--repeats", "-2"],
+                                      ["--fraction", "2"],
+                                      ["--fraction", "nan"]])
     def test_complexity_probe_bad_value_exit_2(self, capsys, args):
         assert main(["complexity-probe", *args]) == 2
         captured = capsys.readouterr()

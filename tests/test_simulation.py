@@ -1,16 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dflsim import simulation
 from dflsim.graphs import gen_directed_geometric, graph_from_edges
 from dflsim.learning import Dataset, Model, loss_and_grad
+from dflsim.placement import HoppingParams
 from dflsim.simulation import (
     Run,
     Simulation,
     SimulationConfig,
     SimulationError,
     build_graph,
-    clear_memo,
+    run_adversary_free,
     run_simulation,
     seed_streams,
 )
@@ -273,7 +275,8 @@ class TestRunSimulation:
         assert sim.final.X.shape == (cfg.n, p)
         # without adversaries the attacked run is the adversary-free run,
         # and both placements share it
-        plain = Simulation(SimulationConfig(n_advs=0, seed=8, **TINY))
+        plain = Simulation(SimulationConfig(n_advs=0, seed=8, **TINY),
+                           sim.graph, base)
         a, b = plain.run()
         assert plain.base is base and a == b and plain.counted.all()
         assert plain.final is base.end
@@ -297,30 +300,29 @@ def outputs(sim):
 
 
 class TestAdversaryFreeMemo:
+    """One adversary-free run shared by every placement of a network."""
+
     @pytest.mark.parametrize("extra", [
         {},
         dict(p_node_fail=0.3, p_link_fail=0.2, classes_per_node=2),
         dict(n_advs=0, p_node_fail=0.3, p_link_fail=0.2),
     ], ids=["iid", "failures-non-iid", "no-adversaries"])
     def test_warm_memo_matches_cold(self, extra):
+        # placements given one shared baseline match placements that each
+        # compute their own
         configs = [SimulationConfig(**{**TINY, "n_advs": 2, "epsilon": 500,
                                        "seed": 4, **extra, "strategy": s})
                    for s in STRATEGIES]
-        cold = []
-        for cfg in configs:
-            clear_memo()
-            cold.append(outputs(Simulation(cfg)))
-        clear_memo()
+        cold = [outputs(Simulation(cfg)) for cfg in configs]
         first = Simulation(configs[0])
         warm = [outputs(first)]
         for cfg in configs[1:]:
-            sim = Simulation(cfg)
-            assert sim.base is first.base  # a memo hit
+            sim = Simulation(cfg, first.graph, first.base)
+            assert sim.base is first.base
             warm.append(outputs(sim))
         assert warm == cold
 
     def test_memoised_arrays_are_read_only(self):
-        clear_memo()
         base = Simulation(SimulationConfig(n_advs=2, p_node_fail=0.3,
                                            seed=4, **TINY)).base
         arrays = [base.acc, base.alive, base.test_set.features]
@@ -330,28 +332,40 @@ class TestAdversaryFreeMemo:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
 
-    def test_memo_holds_only_the_latest_run(self):
-        clear_memo()
-        for seed in range(1, 6):
-            sim = Simulation(SimulationConfig(n_advs=2, seed=seed, **TINY))
-            assert list(simulation._memo.values()) == [sim.base]
+    def test_baseline_ignores_the_attack_fields(self):
+        cfg = SimulationConfig(n_advs=0, p_node_fail=0.3, seed=4, **TINY)
+        graph = build_graph(cfg, seed_streams(cfg.seed)["graph"])
 
-    def test_memo_key_includes_the_graph(self):
-        clear_memo()
-        cfg = SimulationConfig(n_advs=2, seed=4, **TINY)
-        first = Simulation(cfg)
+        def bits(base):
+            return (base.acc.tobytes(), base.alive.tobytes(),
+                    base.end.X.tobytes(), base.start.Y.tobytes())
+
+        expect = bits(run_adversary_free(cfg, graph))
+        for attack in (dict(strategy="maxspan-hop", n_advs=3),
+                       dict(epsilon=1000.0, epsilon_scale=0.01),
+                       dict(hopping=HoppingParams(decay=0.5))):
+            assert bits(run_adversary_free(replace(cfg, **attack),
+                                           graph)) == expect
         other = build_graph(cfg, seed_streams(cfg.seed + 1)["graph"])
-        assert other != first.graph
-        assert Simulation(cfg, graph=other).base is not first.base
+        assert bits(run_adversary_free(cfg, other)) != expect
 
-    def test_raising_run_is_not_cached(self):
-        clear_memo()
+    def test_raising_run_fails_every_placement(self):
+        cfg = SimulationConfig(n_advs=2, p_node_fail=1.0, seed=1, **TINY)
+        first = Simulation(cfg)
+        assert isinstance(first.base.error, SimulationError)
         for strategy in STRATEGIES:
-            cfg = SimulationConfig(n_advs=2, p_node_fail=1.0, seed=1,
-                                   strategy=strategy, **TINY)
+            sim = Simulation(replace(cfg, strategy=strategy), first.graph,
+                             first.base)
             with pytest.raises(SimulationError, match="removed every node"):
-                run_simulation(cfg)
-            assert not simulation._memo
+                sim.run()
+
+    def test_graph_of_another_size_is_refused(self):
+        cfg = SimulationConfig(n_advs=2, seed=4, **TINY)
+        graph = build_graph(replace(cfg, n=cfg.n + 1),
+                            seed_streams(cfg.seed)["graph"])
+        for compute in (run_adversary_free, Simulation):
+            with pytest.raises(SimulationError, match="size disagrees"):
+                compute(cfg, graph)
 
 
 class TestConfigValidation:

@@ -19,7 +19,6 @@ from dflsim.simulation import (
     SimulationError,
     _mix,
     _slot_table,
-    clear_memo,
 )
 from oracles import (advance_recomputing, adversary_step, honest_step,
                      in_neighbors, out_neighbors)
@@ -224,11 +223,9 @@ def hex_trace(trace):
 @example(PINNED[0])
 @example(PINNED[1])
 def test_twins_agree_through_t_attack_and_reruns_repeat(cfg):
-    # two computations, not a computation and a memo hit
+    # two computations, each with its own adversary-free run
     try:
-        clear_memo()
         attacked, baseline = build(cfg).run()
-        clear_memo()
         again = build(cfg).run()
     except SimulationError:  # every node, or every counted node, failed
         reject()
