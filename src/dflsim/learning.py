@@ -168,9 +168,17 @@ def least_per_class(n_nodes: int, n_classes: int,
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place of logits. The max
+    is taken class by class across rows, as reducing a short last axis
+    row by row is slow; the max is exact in any order, and the sign of a
+    zero max changes no bit of the exp."""
+    top = logits[..., 0].copy()
+    for c in range(1, logits.shape[-1]):
+        np.maximum(top, logits[..., c], out=top)
+    logits -= top[..., None]
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def loss_and_grad(model: Model, data: Dataset) -> tuple[float, np.ndarray]:
@@ -197,8 +205,10 @@ def loss_and_grad(model: Model, data: Dataset) -> tuple[float, np.ndarray]:
 class ShardBatch:
     """Per-node shards zero-padded to one (n, m, dim) feature tensor.
 
-    onehot (n, m, C) holds the labels, mask (n, m, 1) is 1.0 on real rows
-    and 0.0 on padding, and counts (n, 1, 1) is each shard's sample count.
+    onehot (n, m, C) holds the labels, mask (n, m, C) is 1.0 on real rows
+    and 0.0 on padding, and counts (n, 1) is each shard's sample count.
+    Both are shaped so that a stack's elementwise products run along long
+    contiguous rows, not row by row along a short class axis.
     """
 
     features: np.ndarray
@@ -212,12 +222,12 @@ class ShardBatch:
         n, dim = len(shards), shards[0].features.shape[1]
         features = np.zeros((n, m, dim))
         onehot = np.zeros((n, m, n_classes))
-        mask = np.zeros((n, m, 1))
+        mask = np.zeros((n, m, n_classes))
         for i, s in enumerate(shards):
             features[i, :s.n_samples] = s.features
             onehot[i, np.arange(s.n_samples), s.labels] = 1.0
             mask[i, :s.n_samples] = 1.0
-        return cls(features, onehot, mask, mask.sum(axis=1, keepdims=True))
+        return cls(features, onehot, mask, mask[:, :, 0].sum(axis=1)[:, None])
 
     def take(self, rows) -> "ShardBatch":
         return ShardBatch(self.features[rows], self.onehot[rows],
@@ -236,8 +246,20 @@ def _output_grad(x: np.ndarray, batch: ShardBatch, features: np.ndarray
     """Unscaled cross-entropy gradient at the logits, zero on padded rows,
     plus the weight views of x."""
     w, b = _unflatten(x, features.shape[-1])
-    probs = _softmax(features @ w.swapaxes(-1, -2) + b[..., None, :])
-    return (probs - batch.onehot) * batch.mask, w
+    logits = features @ w.swapaxes(-1, -2)
+    logits += b[..., None, :]
+    dz = _softmax(logits)
+    dz -= batch.onehot
+    dz *= batch.mask
+    return dz, w
+
+
+def _per_sample(a: np.ndarray, batch: ShardBatch) -> np.ndarray:
+    """a (..., n, m, k), contiguous, divided in place by each shard's
+    sample count."""
+    rows = a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
+    rows /= batch.counts
+    return a
 
 
 def batch_grads(x: np.ndarray, batch: ShardBatch,
@@ -246,7 +268,7 @@ def batch_grads(x: np.ndarray, batch: ShardBatch,
     own shard; `features` (a poisoned copy) replaces the batch's."""
     f = batch.features if features is None else features
     dz, _ = _output_grad(x, batch, f)
-    dz /= batch.counts
+    _per_sample(dz, batch)
     grad_w = dz.swapaxes(-1, -2) @ f
     n_w = grad_w.shape[-2] * grad_w.shape[-1]
     return np.concatenate([grad_w.reshape(x.shape[:-1] + (n_w,)),
@@ -256,17 +278,18 @@ def batch_grads(x: np.ndarray, batch: ShardBatch,
 def batch_poisoned_grads(x: np.ndarray, batch: ShardBatch,
                          epsilon: float) -> np.ndarray:
     """loss_and_grad of each stacked model on its shard after an FGSM step:
-    every feature moved epsilon along the sign of its loss gradient."""
+    every feature moved epsilon along the sign of its loss gradient.
+    epsilon is a number, or one per shard as an (..., n, 1, 1) array."""
     dz, w = _output_grad(x, batch, batch.features)
-    poisoned = batch.features + epsilon * np.sign((dz @ w) / batch.counts)
-    return batch_grads(x, batch, poisoned)
+    sign = np.sign(_per_sample(dz @ w, batch))
+    return batch_grads(x, batch, batch.features + epsilon * sign)
 
 
 def batch_accuracy(x: np.ndarray, data: Dataset) -> np.ndarray:
     """accuracy of each flat model x (k, p) on data, from one gemm."""
     dim = data.features.shape[1]
     w, b = _unflatten(x, dim)
-    logits = (data.features @ w.reshape(-1, dim).T).reshape(
-        data.labels.shape + w.shape[:2])
-    logits += b
+    logits = data.features @ w.reshape(-1, dim).T
+    logits += b.reshape(-1)
+    logits = logits.reshape(data.labels.shape + w.shape[:2])
     return (logits.argmax(axis=-1) == data.labels[:, None]).mean(axis=0)

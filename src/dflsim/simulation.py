@@ -11,12 +11,13 @@ data and failure event. That run does not depend on the placement, so
 `run_adversary_free` computes it once per network as a `Baseline` (the
 config with the fields only the attack reads blanked, on the graph): its
 state after the failure event at t_attack + 1, its final state, and every
-node's test accuracy at every epoch. A `Simulation` given that baseline
-advances only its attacked run from there, as one (node, parameter)
-stack, and reads its baseline trace, and its attacked trace through
-t_attack, from the baseline's accuracies; one given none computes its own.
-The per-node reference rules the tests check this engine against live in
-tests/oracles.py.
+node's test accuracy at every epoch. A `Simulation` holds the placements
+of one network and advances their attacked runs from there as one
+(placement, node, parameter) stack, each placement with its own
+adversary rows and attack power, and reads their baseline traces, and
+their attacked traces through t_attack, from the baseline's accuracies.
+One config is the stack of one placement. The per-node reference rules
+the tests check this engine against live in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -153,27 +154,30 @@ def _mix(v: np.ndarray, table) -> np.ndarray:
     Padding slots add zeros."""
     idx, sizes = table
     padded = np.concatenate([v, np.zeros_like(v[..., :1, :])], axis=-2)
-    acc = np.add.reduce(padded.take(idx, axis=-2), axis=-3, initial=0.0)
+    acc, rows = np.zeros(v.shape), np.empty(v.shape)
+    for slot in idx:
+        acc += padded.take(slot, axis=-2, out=rows, mode="clip")
     acc /= sizes
     return acc
 
 
 class Run:
-    """One training run on its current graph, as (node, parameter) stacks:
-    models X, trackers Y and the local gradients G the trackers last
-    added. `advance` replaces the stacks and never writes into them, so a
-    shallow copy of a run continues independently of it.
+    """Training runs on one graph, as (..., node, parameter) stacks: models
+    X, trackers Y and the local gradients G the trackers last added; the
+    placements of a network are one (K, n, p) stack. `advance` replaces
+    the stacks and never writes into them, so a shallow copy of a run
+    continues independently of it.
 
     An attacked run (see `attacked`) also holds its adversaries: their row
-    mask, their shards and the attack power. Their rows of G hold the
-    poisoned gradient at their rows of X, which their next descent step
-    starts from."""
+    mask, and their rows' shards and attack powers, gathered once. Their
+    rows of G hold the poisoned gradient at their rows of X, which their
+    next descent step starts from."""
 
     def __init__(self, cfg: SimulationConfig, graph: Graph, batch: ShardBatch,
                  X: np.ndarray, Y: np.ndarray, G: np.ndarray):
         self.cfg, self.graph, self.batch = cfg, graph, batch
         self.X, self.Y, self.G = X, Y, G
-        self.attack: Optional[tuple[np.ndarray, ShardBatch, float]] = None
+        self.attack: Optional[tuple[np.ndarray, ShardBatch, np.ndarray]] = None
         # models mix in-neighbours, then self; literal_out trackers mix
         # out-neighbours, or self alone where there are none
         self._x_table = _slot_table(*graph.in_csr, np.ones(graph.n, bool))
@@ -203,39 +207,59 @@ class Run:
         return Run(cfg, graph, self.batch.take(keep),
                    *(a[keep] for a in (self.X, self.Y, self.G))), keep
 
-    def attacked(self, adv: np.ndarray, epsilon: float) -> "Run":
-        """A copy of the run whose rows in mask `adv`, from the next epoch
-        on, descend on their FGSM-poisoned shards at attack power epsilon
-        instead, ignoring their neighbors."""
+    def attacked(self, adv: np.ndarray, epsilon) -> "Run":
+        """Copies of the (n, p) run, one per row of the mask `adv` (K, n),
+        or one for an (n,) mask, whose rows in it, from the next epoch on,
+        descend on their FGSM-poisoned shards at attack power epsilon (a
+        number, or one per copy) instead, ignoring their neighbors."""
         run = copy.copy(self)
-        shards = self.batch.take(adv)
-        run.attack = adv, shards, epsilon
-        run.G = self.G.copy()
-        run.G[adv] = batch_poisoned_grads(self.X[adv], shards, epsilon)
+        shape = adv.shape + self.X.shape[-1:]
+        run.X, run.Y = (np.broadcast_to(a, shape) for a in (self.X, self.Y))
+        run.G = np.broadcast_to(self.G, shape).copy()
+        power = np.broadcast_to(np.asarray(epsilon)[..., None], adv.shape)
+        run.attack = (adv, self.batch.take(np.nonzero(adv)[-1]),
+                      power[adv][:, None, None])
+        run.G[adv] = batch_poisoned_grads(run.X[adv], *run.attack[1:])
         return run
 
-    def advance(self, epoch: int) -> None:
-        """One synchronous epoch of every node from the current stacks."""
+    def take(self, k: int) -> "Run":
+        """Run k of a stack, with its adversaries."""
+        run = copy.copy(self)
+        run.X, run.Y, run.G = self.X[k], self.Y[k], self.G[k]
+        if self.attack is not None:
+            adv, shards, power = self.attack
+            mine = np.nonzero(adv)[0] == k
+            run.attack = adv[k], shards.take(mine), power[mine]
+        return run
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def advance(self) -> np.ndarray:
+        """One synchronous epoch of every node from the current stacks.
+        Returns whether each run's new state is finite; the finiteness test
+        reports overflow, so numpy does not warn of it."""
         cfg = self.cfg
-        x = _mix(self.X, self._x_table) - cfg.alpha * self.Y
-        y_mixed = _mix(self.Y, self._y_table)
+        x = _mix(self.X, self._x_table)
+        x -= cfg.alpha * self.Y
+        y = _mix(self.Y, self._y_table)
         g = batch_grads(x, self.batch)
-        y = y_mixed + g - self.G
+        y += g
+        y -= self.G
         for _ in range(cfg.local_iters - 1):
             g_old = g
-            x = x - cfg.alpha * g_old
+            x -= cfg.alpha * g_old
             g = batch_grads(x, self.batch)
-            y = y + g - g_old
+            y += g
+            y -= g_old
         if self.attack is not None:  # local_iters poisoned descent steps
-            adv, shards, epsilon = self.attack
+            adv, shards, power = self.attack
             xa, ya = self.X[adv], self.G[adv]
             for _ in range(cfg.local_iters):
                 xa = xa - cfg.alpha * ya
-                ya = batch_poisoned_grads(xa, shards, epsilon)
+                ya = batch_poisoned_grads(xa, shards, power)
             x[adv], y[adv], g[adv] = xa, ya, ya
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise SimulationError(f"non-finite model state at epoch {epoch}")
         self.X, self.Y, self.G = x, y, g
+        return (np.isfinite(x).all(axis=(-2, -1))
+                & np.isfinite(y).all(axis=(-2, -1)))
 
     def consensus_error(self) -> float:
         """Largest distance of a model from the mean model."""
@@ -301,8 +325,8 @@ def run_adversary_free(cfg: SimulationConfig, graph: Graph) -> Baseline:
                     alive[:] = False
                     alive[keep] = True
                 start = copy.copy(run)
-            if epoch:
-                run.advance(epoch)
+            if epoch and not run.advance():
+                raise SimulationError(f"non-finite model state at epoch {epoch}")
             acc[epoch, alive] = batch_accuracy(run.X, test_set)
         end = run
     except SimulationError as exc:
@@ -326,16 +350,24 @@ def _metrics(epoch: int, accs: np.ndarray) -> EpochMetrics:
 
 
 class Simulation:
-    """A placement's attacked run and the adversary-free run it is scored
-    against, which every placement of the same network can share: pass it
-    as `base` (see `run_adversary_free`), or leave it to be computed."""
+    """The placements of one network: configs that differ only in the
+    fields the attack reads, each an attacked run scored against the
+    adversary-free run they all share. Pass that run as `base` (see
+    `run_adversary_free`), or leave it to be computed. One config is the
+    K = 1 case.
 
-    def __init__(self, cfg: SimulationConfig, graph: Optional[Graph] = None,
+    A placement that raises, or whose run turns non-finite, fails alone,
+    with the exception it raises when run by itself; the others' bits do
+    not change."""
+
+    def __init__(self, cfgs, graph: Optional[Graph] = None,
                  base: Optional[Baseline] = None):
-        self.cfg = cfg
-        streams = seed_streams(cfg.seed)
+        self.cfgs = [cfgs] if isinstance(cfgs, SimulationConfig) else list(cfgs)
+        cfg = self.cfgs[0]
+        if len({adversary_free(c) for c in self.cfgs}) > 1:
+            raise ValueError("placements of more than one network")
         self.graph = graph if graph is not None else build_graph(
-            cfg, streams["graph"])
+            cfg, seed_streams(cfg.seed)["graph"])
         if self.graph.n != cfg.n:
             raise SimulationError("provided graph size disagrees with config")
         self.base = base if base is not None else run_adversary_free(
@@ -344,40 +376,66 @@ class Simulation:
         # Placed nodes act as adversaries only in the attacked run, but both
         # traces leave them out of the accuracy average, so the traces are
         # comparable node-for-node (and identical until the attack).
-        self.counted = np.ones(cfg.n, dtype=bool)
-        self.adversaries = None
-        if cfg.n_advs > 0:
-            self.adversaries = place(self.graph, cfg.strategy, cfg.n_advs,
-                                     streams["placement"], hopping=cfg.hopping)
-            self.counted[list(self.adversaries.members)] = False
-        self.final: Optional[Run] = None
+        self.counted = np.ones((len(self.cfgs), cfg.n), dtype=bool)
+        self.adversaries: list = [None] * len(self.cfgs)
+        self.errors: list[Optional[Exception]] = [None] * len(self.cfgs)
+        for k, c in enumerate(self.cfgs):
+            if c.n_advs == 0:
+                continue
+            try:
+                self.adversaries[k] = place(
+                    self.graph, c.strategy, c.n_advs,
+                    seed_streams(c.seed)["placement"], hopping=c.hopping)
+            except Exception as exc:  # fails this placement alone
+                self.errors[k] = exc
+                continue
+            self.counted[k, list(self.adversaries[k].members)] = False
+        self.final: Optional[list[Optional[Run]]] = None
 
-    def run(self) -> tuple[list[EpochMetrics], list[EpochMetrics]]:
-        """Every epoch 0..cfg.epochs; returns (attacked, baseline) traces.
-        The attacked run's last state is left in `final`."""
-        cfg, base, t = self.cfg, self.base, self.cfg.t_attack
-        if base.error is not None and len(base.acc) <= t + 1:
-            raise base.error  # before the attack, or the failure event
-        run, attacked = base.end, []
-        if self.adversaries is not None and t < cfg.epochs:
-            adv = ~self.counted[base.alive]
-            run = base.start.attacked(adv, cfg.effective_epsilon)
-            for epoch in range(t + 1, cfg.epochs + 1):
-                if epoch == len(base.acc):
-                    raise base.error
-                run.advance(epoch)
-                attacked.append(_metrics(epoch, batch_accuracy(
-                    run.X[~adv], base.test_set)))
-        if base.error is not None:
-            raise base.error
-        self.final = run
-        masks = ([self.counted] * (t + 1)
-                 + [self.counted & base.alive] * (cfg.epochs - t))
-        baseline = [_metrics(epoch, row[mask]) for epoch, (row, mask)
-                    in enumerate(zip(base.acc, masks))]
-        if not attacked:
-            return baseline, baseline
-        return baseline[:t + 1] + attacked, baseline
+    def run(self) -> list:
+        """Every epoch 0..epochs of every placement, the attacked runs
+        advanced as one (K, n, p) stack. Returns each placement's
+        (attacked, baseline) traces, or the exception that failed it, and
+        leaves its attacked run's last state in `final`."""
+        cfg, base, t = self.cfgs[0], self.base, self.cfgs[0].t_attack
+        errors, attacked = list(self.errors), [[] for _ in self.cfgs]
+        self.final = [base.end] * len(self.cfgs)
+        stack = [k for k, a in enumerate(self.adversaries)
+                 if a is not None and t + 1 < len(base.acc)]
+        if stack:
+            adv = ~self.counted[stack][:, base.alive]
+            run = base.start.attacked(
+                adv, [self.cfgs[k].effective_epsilon for k in stack])
+            for epoch in range(t + 1, len(base.acc)):
+                finite = run.advance()
+                for row, k in enumerate(stack):
+                    if errors[k] is None and not finite[row]:
+                        errors[k] = SimulationError(
+                            f"non-finite model state at epoch {epoch}")
+                    elif errors[k] is None:
+                        try:
+                            attacked[k].append(_metrics(epoch, batch_accuracy(
+                                run.X[row, ~adv[row]], base.test_set)))
+                        except SimulationError as exc:
+                            errors[k] = exc
+            for row, k in enumerate(stack):
+                self.final[k] = run.take(row)
+        # a placement whose attacked trace has honest nodes at every epoch
+        # has them in its baseline trace too
+        results = []
+        for k, counted in enumerate(self.counted):
+            errors[k] = errors[k] or base.error
+            if errors[k] is not None:
+                results.append(errors[k])
+                self.final[k] = None
+                continue
+            masks = ([counted] * (t + 1)
+                     + [counted & base.alive] * (cfg.epochs - t))
+            baseline = [_metrics(epoch, row[mask]) for epoch, (row, mask)
+                        in enumerate(zip(base.acc, masks))]
+            results.append((baseline[:t + 1] + attacked[k], baseline)
+                           if attacked[k] else (baseline, baseline))
+        return results
 
 
 def run_simulation(cfg: SimulationConfig,
@@ -390,4 +448,7 @@ def run_simulation(cfg: SimulationConfig,
     epochs 0 (initial models) through cfg.epochs; adversaries act, and the
     failure event fires, from epoch t_attack + 1 onward.
     """
-    return Simulation(cfg, graph=graph).run()
+    (result,) = Simulation(cfg, graph=graph).run()
+    if isinstance(result, Exception):
+        raise result
+    return result

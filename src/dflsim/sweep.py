@@ -1,13 +1,14 @@
 """Experiment execution: grid expansion, worker pool, CSV aggregation.
 
-Each sweep cell runs one simulation (attacked plus its adversary-free
-twin) and writes two trace CSVs. Graphs are generated once per
-(family, param, n, seed) before dispatch and cached as edge-list files,
-so concurrent cells share them read-only. The cells that share an
-adversary-free run (a key) form one task, which loads the key's graph
-and computes that run once for all of them; the pool has at most one
-process per key. The summary is assembled by a single aggregator in
-deterministic cell order whatever the worker count.
+Each sweep cell is one placement (an attacked run scored against its
+adversary-free twin) and writes two trace CSVs. Graphs are generated once
+per (family, param, n, seed) before dispatch and cached as edge-list
+files, so concurrent cells share them read-only. The cells that share an
+adversary-free run (a key) form one task: one `Simulation` loads the
+key's graph, computes that run once, and advances all the key's
+placements as one stack; the pool has at most one process per key. The
+summary is assembled by a single aggregator in deterministic cell order
+whatever the worker count.
 """
 from __future__ import annotations
 
@@ -24,11 +25,10 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .config import ConfigError, ExperimentSpec, SweepCell
-from .graphs import Graph, load_graph, save_graph
+from .graphs import load_graph, save_graph
 from .metrics import compute_aal
-from .simulation import (Baseline, Simulation, SimulationConfig,
-                         adversary_free, build_graph, run_adversary_free,
-                         seed_streams)
+from .simulation import (Simulation, SimulationConfig, adversary_free,
+                         build_graph, seed_streams)
 
 WORKERS_ENV = "DFLSIM_WORKERS"
 
@@ -102,14 +102,17 @@ def _write_trace(path: Path, run_id: str, variant: str, trace) -> None:
 
 
 def run_cell(cell: SweepCell, out_dir: str,
-             network: Callable[[], tuple[Graph, Baseline]]) -> CellOutcome:
-    """Execute one cell and write its two trace files. `network()` gives
-    its graph and adversary-free run. Worker-safe."""
+             network: Callable[[], dict]) -> CellOutcome:
+    """Write one cell's two trace files and score it. `network()` gives the
+    traces of every cell of its key by run_id, or the exception that
+    failed the cell. Worker-safe."""
     cfg = cell.cfg
     run_id = cell.run_id
     try:
-        graph, base = network()
-        attacked, baseline = Simulation(cfg, graph, base).run()
+        result = network()[run_id]
+        if isinstance(result, Exception):
+            raise result
+        attacked, baseline = result
         traces = Path(out_dir) / "traces"
         _write_trace(traces / f"{run_id}__attacked.csv", run_id, "attacked",
                      attacked)
@@ -125,15 +128,18 @@ def run_cell(cell: SweepCell, out_dir: str,
 
 def _run_key(cells: list[SweepCell], out_dir: str,
              graph_path: str) -> list[CellOutcome]:
-    """Run the cells of one key in a row, in one process. The first cell
-    loads the key's graph and computes its adversary-free run, and the
-    rest reuse them; if either raises, the next cell tries again.
-    `run_cell` is looked up at call time, so a pool child forked from a
-    process that replaced it runs the replacement."""
+    """Run the cells of one key in one process, as one stack. The first
+    cell's `network()` loads the key's graph, computes its adversary-free
+    run and advances every cell's placement at once (`Simulation`); each
+    `run_cell` then writes its own cell's outputs from the result. If that
+    raises, the next cell tries again. `run_cell` is looked up at call
+    time, so a pool child forked from a process that replaced it runs the
+    replacement."""
     @functools.cache
-    def network() -> tuple[Graph, Baseline]:
-        graph = load_graph(graph_path)
-        return graph, run_adversary_free(cells[0].cfg, graph)
+    def network() -> dict:
+        results = Simulation([cell.cfg for cell in cells],
+                             load_graph(graph_path)).run()
+        return {cell.run_id: r for cell, r in zip(cells, results)}
 
     return [run_cell(cell, out_dir, network) for cell in cells]
 

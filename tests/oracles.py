@@ -102,6 +102,35 @@ def adversary_step(x_prev_i: np.ndarray, shard: Dataset, n_classes: int,
     return x, tracker
 
 
+def oracle_epoch(run, shards, cfg, adv):
+    """`Run.advance` of one (n, p) run rebuilt row by row from honest_step /
+    adversary_step, in reverse node order (snapshot semantics); `adv`
+    masks the adversaries' rows, or is None."""
+    x_prev, y_prev, g_prev = run.X, run.Y, run.G
+    x, y, g = (np.empty_like(a) for a in (x_prev, y_prev, g_prev))
+    for i in reversed(range(run.graph.n)):
+        def grad(v, i=i):
+            model = Model.from_flat(v, cfg.classes, cfg.feature_dim)
+            return loss_and_grad(model, shards[i])[1]
+        if adv is not None and adv[i]:
+            xi = x_prev[i]
+            for _ in range(cfg.local_iters):
+                xi, yi = adversary_step(xi, shards[i], cfg.classes,
+                                        cfg.feature_dim, cfg.alpha,
+                                        cfg.effective_epsilon)
+            gi = yi
+        else:
+            xi, yi = honest_step(i, run.graph, x_prev, y_prev, cfg.alpha,
+                                 grad, g_prev[i], cfg.tracker_mixing)
+            for _ in range(cfg.local_iters - 1):
+                g_old = grad(xi)
+                xi = xi - cfg.alpha * g_old
+                yi = yi + grad(xi) - g_old
+            gi = grad(xi)
+        x[i], y[i], g[i] = xi, yi, gi
+    return x, y, g
+
+
 def advance_recomputing(run: Run, epoch: int, adv: np.ndarray,
                         epsilon: float) -> None:
     """`Run.advance` of an attacked run, with the adversaries' shards taken

@@ -54,11 +54,16 @@ def study_config(**overrides) -> SimulationConfig:
     return SimulationConfig(**base)
 
 
-def aal_for(cfg: SimulationConfig, graph, base=None) -> float:
-    """cfg's AAL on graph, against `base` if given (the adversary-free run
-    of cfg's network), else against a run computed for it."""
-    attacked, baseline = Simulation(cfg, graph, base).run()
-    return compute_aal(baseline, attacked, cfg.t_attack)
+def aals(cfgs: list[SimulationConfig], graph, base=None) -> list[float]:
+    """The AALs of placements of one network on graph, run as one stack as
+    a sweep runs a key's cells, against `base` if given (the network's
+    adversary-free run), else against a run computed for them."""
+    results = Simulation(cfgs, graph, base).run()
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return [compute_aal(baseline, attacked, cfg.t_attack)
+            for cfg, (attacked, baseline) in zip(cfgs, results)]
 
 
 def graph_bank(family: str, param: float, n: int) -> dict[int, object]:
@@ -98,26 +103,25 @@ def er_bases(er_graphs):
     return baseline_bank(er_graphs, graph_family="er", graph_param=0.3)
 
 
+def aal_table(graphs, bases, field, values, **overrides) -> dict:
+    """value of `field` -> per-seed AALs, each seed's placements (one per
+    value) one stack."""
+    per_seed = [aals([study_config(seed=seed, **{field: v}, **overrides)
+                      for v in values], graphs[seed], bases[seed])
+                for seed in SEEDS]
+    return {v: [row[i] for row in per_seed] for i, v in enumerate(values)}
+
+
 @pytest.fixture(scope="session")
 def dg_aal_table(dg_graphs, dg_bases):
     """Mean-AAL inputs on sparse geometric graphs: strategy -> per-seed AALs."""
-    table = {}
-    for strategy in STRATEGIES:
-        table[strategy] = [
-            aal_for(study_config(strategy=strategy, seed=seed),
-                    dg_graphs[seed], dg_bases[seed]) for seed in SEEDS]
-    return table
+    return aal_table(dg_graphs, dg_bases, "strategy", STRATEGIES)
 
 
 @pytest.fixture(scope="session")
 def er_aal_table(er_graphs, er_bases):
-    table = {}
-    for strategy in STRATEGIES:
-        table[strategy] = [
-            aal_for(study_config(graph_family="er", graph_param=0.3,
-                                 strategy=strategy, seed=seed),
-                    er_graphs[seed], er_bases[seed]) for seed in SEEDS]
-    return table
+    return aal_table(er_graphs, er_bases, "strategy", STRATEGIES,
+                     graph_family="er", graph_param=0.3)
 
 
 def test_criterion_1_honest_convergence():
@@ -133,8 +137,8 @@ def test_criterion_1_honest_convergence():
                                classes_per_node=5, test_samples=250,
                                seed=seed)
         sim = Simulation(cfg)
-        trace, _ = sim.run()
-        worst_consensus = max(worst_consensus, sim.final.consensus_error())
+        (trace, _), = sim.run()
+        worst_consensus = max(worst_consensus, sim.final[0].consensus_error())
         pooled = Dataset(
             features=np.concatenate([s.features for s in sim.base.shards]),
             labels=np.concatenate([s.labels for s in sim.base.shards]))
@@ -269,10 +273,7 @@ def test_criterion_5_er_placement_insensitivity(dg_aal_table, er_aal_table):
 def test_criterion_6_attack_power_monotonicity(dg_graphs, dg_bases):
     t0 = time.time()
     grid = (50.0, 100.0, 250.0, 500.0, 1000.0)
-    per_eps = {eps: [aal_for(study_config(epsilon=eps, seed=seed),
-                             dg_graphs[seed], dg_bases[seed])
-                     for seed in SEEDS]
-               for eps in grid}
+    per_eps = aal_table(dg_graphs, dg_bases, "epsilon", grid)
     means = [float(np.mean(per_eps[eps])) for eps in grid]
     inversions = 0
     bounded = True
@@ -300,8 +301,8 @@ def test_criterion_7_failure_dynamics_degrade_attack(dg_graphs):
 
     def mean_aal(p_node, p_link):
         return float(np.mean([
-            aal_for(study_config(p_node_fail=p_node, p_link_fail=p_link,
-                                 seed=seed), dg_graphs[seed])
+            aals([study_config(p_node_fail=p_node, p_link_fail=p_link,
+                               seed=seed)], dg_graphs[seed])[0]
             for seed in SEEDS]))
 
     low = mean_aal(0.1, 0.02)

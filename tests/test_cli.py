@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from dflsim import sweep
+from dflsim import simulation
 from dflsim.cli import main
 from dflsim.config import parse_config
 from dflsim.metrics import EpochMetrics, compute_aal
@@ -131,13 +131,13 @@ class TestRunExperiment:
         config.write_text(SHARED_CONFIG)
         spec = parse_config(config)
         computed = []
-        compute = sweep.run_adversary_free
+        compute = simulation.run_adversary_free
 
         def counting(cfg, graph):
             computed.append(cfg.seed)
             return compute(cfg, graph)
 
-        monkeypatch.setattr(sweep, "run_adversary_free", counting)
+        monkeypatch.setattr(simulation, "run_adversary_free", counting)
         runs = {}
         for workers in (1, 2):
             runs[workers] = tmp_path / f"w{workers}"
@@ -189,14 +189,14 @@ class TestRunExperiment:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_raising_adversary_free_run_fails_only_its_key(
             self, tmp_path, monkeypatch, workers):
-        compute = sweep.run_adversary_free
+        compute = simulation.run_adversary_free
 
         def failing(cfg, graph):
             if cfg.seed == 1:
                 raise RuntimeError(f"no run for seed {cfg.seed}")
             return compute(cfg, graph)
 
-        monkeypatch.setattr(sweep, "run_adversary_free", failing)
+        monkeypatch.setattr(simulation, "run_adversary_free", failing)
         config = tmp_path / "tiny.yaml"
         config.write_text(TINY_CONFIG.format(out=tmp_path / "out"))
         result = run_experiment(parse_config(config), workers=workers)

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import dflsim
-from dflsim import sweep
+from dflsim import simulation
 from dflsim.config import parse_config
 from dflsim.sweep import run_experiment
 
@@ -90,14 +90,14 @@ def test_pool_computes_each_adversary_free_run_once(tmp_path, monkeypatch):
     # the pool's children are forked, so they run this wrapper too; each
     # appends a line per computed run to one file
     log = tmp_path / "computed.txt"
-    compute = sweep.run_adversary_free
+    compute = simulation.run_adversary_free
 
     def counting(cfg, graph):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()} {cfg.seed}\n")
         return compute(cfg, graph)
 
-    monkeypatch.setattr(sweep, "run_adversary_free", counting)
+    monkeypatch.setattr(simulation, "run_adversary_free", counting)
     config = tmp_path / "hetero.yaml"
     config.write_text(HETERO_CONFIG)
     result = run_experiment(parse_config(config), output_dir=tmp_path / "out",

@@ -208,10 +208,10 @@ class TestRunSimulation:
         for epoch in range(1, cfg.t_attack + 3):
             if epoch == cfg.t_attack + 1:
                 assert run.X.tobytes() == sim.base.start.X.tobytes()
-                adv = ~sim.counted
+                adv = ~sim.counted[0]
                 run = sim.base.start.attacked(adv, cfg.effective_epsilon)
             x_prev, y_prev, g_prev = run.X, run.Y, run.G
-            run.advance(epoch)
+            assert run.advance()
             for i in reversed(range(cfg.n)):
                 if adv is not None and adv[i]:
                     xi, yi = adversary_step(
@@ -262,24 +262,24 @@ class TestRunSimulation:
         base = sim.base
         p = cfg.classes * (cfg.feature_dim + 1)
         assert sim.final is None
-        assert sorted(np.flatnonzero(~sim.counted)) == \
-            sorted(sim.adversaries.members)
+        assert sorted(np.flatnonzero(~sim.counted[0])) == \
+            sorted(sim.adversaries[0].members)
         assert base.acc.shape == (cfg.epochs + 1, cfg.n) and base.alive.all()
         assert base.start.X.shape == base.start.Y.shape == (cfg.n, p)
         assert base.start.batch.counts.sum() == \
             sum(s.n_samples for s in base.shards)
-        attacked, baseline = sim.run()
+        (attacked, baseline), = sim.run()
         assert [m.accuracy for m in baseline] == \
-            [float(np.mean(row[sim.counted])) for row in base.acc]
+            [float(np.mean(row[sim.counted[0]])) for row in base.acc]
         assert attacked[:cfg.t_attack + 1] == baseline[:cfg.t_attack + 1]
-        assert sim.final.X.shape == (cfg.n, p)
+        assert sim.final[0].X.shape == (cfg.n, p)
         # without adversaries the attacked run is the adversary-free run,
         # and both placements share it
         plain = Simulation(SimulationConfig(n_advs=0, seed=8, **TINY),
                            sim.graph, base)
-        a, b = plain.run()
+        (a, b), = plain.run()
         assert plain.base is base and a == b and plain.counted.all()
-        assert plain.final is base.end
+        assert plain.final == [base.end]
 
     def test_non_finite_state_is_simulation_error(self):
         cfg = SimulationConfig(n_advs=2, epsilon=1e200, seed=2, **TINY)
@@ -293,10 +293,11 @@ STRATEGIES = ("random", "eigen", "degree", "maxspan", "maxspan-hop")
 
 def outputs(sim):
     """Both traces, exactly, and the attacked run's final state."""
-    attacked, baseline = sim.run()
+    (attacked, baseline), = sim.run()
+    final, = sim.final
     return ([(m.epoch, m.accuracy.hex(), m.n_honest_alive) for m in attacked],
             [(m.epoch, m.accuracy.hex(), m.n_honest_alive) for m in baseline],
-            sim.final.X.tobytes(), sim.final.Y.tobytes(), sim.final.G.tobytes())
+            final.X.tobytes(), final.Y.tobytes(), final.G.tobytes())
 
 
 class TestAdversaryFreeMemo:
@@ -353,11 +354,15 @@ class TestAdversaryFreeMemo:
         cfg = SimulationConfig(n_advs=2, p_node_fail=1.0, seed=1, **TINY)
         first = Simulation(cfg)
         assert isinstance(first.base.error, SimulationError)
-        for strategy in STRATEGIES:
-            sim = Simulation(replace(cfg, strategy=strategy), first.graph,
-                             first.base)
-            with pytest.raises(SimulationError, match="removed every node"):
-                sim.run()
+        sim = Simulation([replace(cfg, strategy=s) for s in STRATEGIES],
+                         first.graph, first.base)
+        results = sim.run()
+        assert len(results) == len(STRATEGIES) and sim.final == [None] * 5
+        for result in results:
+            assert isinstance(result, SimulationError)
+            assert "removed every node" in str(result)
+        with pytest.raises(SimulationError, match="removed every node"):
+            run_simulation(cfg, first.graph)
 
     def test_graph_of_another_size_is_refused(self):
         cfg = SimulationConfig(n_advs=2, seed=4, **TINY)

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from dflsim.graphs import GenerationError
-from dflsim.learning import Model, batch_accuracy, loss_and_grad
+from dflsim.learning import batch_accuracy
 from dflsim.simulation import (
     Run,
     Simulation,
@@ -20,8 +20,8 @@ from dflsim.simulation import (
     _mix,
     _slot_table,
 )
-from oracles import (advance_recomputing, adversary_step, honest_step,
-                     in_neighbors, out_neighbors)
+from oracles import (advance_recomputing, in_neighbors, oracle_epoch,
+                     out_neighbors)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None,
@@ -76,32 +76,12 @@ def build(cfg):
         reject()
 
 
-def oracle_epoch(run, shards, cfg, adv):
-    """The epoch rebuilt row by row from honest_step / adversary_step, in
-    reverse node order (snapshot semantics)."""
-    x_prev, y_prev, g_prev = run.X, run.Y, run.G
-    x, y, g = (np.empty_like(a) for a in (x_prev, y_prev, g_prev))
-    for i in reversed(range(run.graph.n)):
-        def grad(v, i=i):
-            model = Model.from_flat(v, cfg.classes, cfg.feature_dim)
-            return loss_and_grad(model, shards[i])[1]
-        if adv is not None and adv[i]:
-            xi = x_prev[i]
-            for _ in range(cfg.local_iters):
-                xi, yi = adversary_step(xi, shards[i], cfg.classes,
-                                        cfg.feature_dim, cfg.alpha,
-                                        cfg.effective_epsilon)
-            gi = yi
-        else:
-            xi, yi = honest_step(i, run.graph, x_prev, y_prev, cfg.alpha,
-                                 grad, g_prev[i], cfg.tracker_mixing)
-            for _ in range(cfg.local_iters - 1):
-                g_old = grad(xi)
-                xi = xi - cfg.alpha * g_old
-                yi = yi + grad(xi) - g_old
-            gi = grad(xi)
-        x[i], y[i], g[i] = xi, yi, gi
-    return x, y, g
+def traces(sim):
+    """The one placement's traces, or the exception that failed it."""
+    (result,) = sim.run()
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 @PROPERTY
@@ -121,22 +101,22 @@ def test_every_epoch_matches_per_node_oracle(cfg):
             prefix = runs[0][0].X[base.alive]
             assert prefix.tobytes() == base.start.X.tobytes()
             shards = [shards[v] for v in np.flatnonzero(base.alive)]
-            adv = ~sim.counted[base.alive] if cfg.n_advs else None
+            adv = ~sim.counted[0][base.alive] if cfg.n_advs else None
             attacked = (base.start.attacked(adv, cfg.effective_epsilon)
                         if cfg.n_advs else copy.copy(base.start))
             runs = [(attacked, adv), (copy.copy(base.start), None)]
         for run, adv in runs:
             expect = oracle_epoch(run, shards, cfg, adv)
-            run.advance(epoch)
+            run.advance()
             for got, want in zip((run.X, run.Y, run.G), expect):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     # the stepped runs end where the simulation's own runs ended
     assert runs[-1][0].X.tobytes() == base.end.X.tobytes()
     try:
-        sim.run()
+        traces(sim)
     except SimulationError:  # every counted node failed: no attacked trace
         return
-    assert runs[0][0].X.tobytes() == sim.final.X.tobytes()
+    assert runs[0][0].X.tobytes() == sim.final[0].X.tobytes()
 
 
 @PROPERTY
@@ -148,11 +128,11 @@ def test_carried_poisoned_gradient_gives_the_recomputed_bits(cfg):
     assume(cfg.n_advs > 0 and cfg.t_attack < cfg.epochs)
     sim = build(cfg)
     try:
-        attacked, _ = sim.run()
+        attacked, _ = traces(sim)
     except SimulationError:  # every node, or every counted node, failed
         reject()
     base = sim.base
-    adv = ~sim.counted[base.alive]
+    adv = ~sim.counted[0][base.alive]
     run, trace = copy.copy(base.start), []
     for epoch in range(cfg.t_attack + 1, cfg.epochs + 1):
         advance_recomputing(run, epoch, adv, cfg.effective_epsilon)
@@ -160,7 +140,8 @@ def test_carried_poisoned_gradient_gives_the_recomputed_bits(cfg):
         trace.append(float(np.mean(accs)).hex())
     assert [m.accuracy.hex() for m in attacked[cfg.t_attack + 1:]] == trace
     for a in ("X", "Y", "G"):
-        assert getattr(sim.final, a).tobytes() == getattr(run, a).tobytes(), a
+        assert getattr(sim.final[0], a).tobytes() == \
+            getattr(run, a).tobytes(), a
 
 
 def mixing_matrix(table, n):
@@ -225,8 +206,8 @@ def hex_trace(trace):
 def test_twins_agree_through_t_attack_and_reruns_repeat(cfg):
     # two computations, each with its own adversary-free run
     try:
-        attacked, baseline = build(cfg).run()
-        again = build(cfg).run()
+        attacked, baseline = traces(build(cfg))
+        again = traces(build(cfg))
     except SimulationError:  # every node, or every counted node, failed
         reject()
     t = cfg.t_attack
