@@ -6,7 +6,7 @@ linear softmax model with analytic gradients.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,7 @@ class PartitionError(ValueError):
 class Dataset:
     features: np.ndarray  # (m, dim) float
     labels: np.ndarray    # (m,) int
+    scratch: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.features.ndim != 2:
@@ -42,14 +43,6 @@ class Model:
 
     weights: np.ndarray
     bias: np.ndarray
-
-    @property
-    def n_classes(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[1]
 
     def flat(self) -> np.ndarray:
         return np.concatenate([self.weights.ravel(), self.bias])
@@ -286,10 +279,31 @@ def batch_poisoned_grads(x: np.ndarray, batch: ShardBatch,
 
 
 def batch_accuracy(x: np.ndarray, data: Dataset) -> np.ndarray:
-    """accuracy of each flat model x (k, p) on data, from one gemm."""
-    dim = data.features.shape[1]
+    """accuracy of each flat model x (k, p) on data: a (sample, model)
+    column is right where its label's logit tops the other classes' max,
+    read class-major (C, m, k) from one gemm, wrong where below; numpy's
+    argmax (first index) decides ties and NaNs. The logits and their copy
+    share one block in data.scratch; two blocks would go back to the OS."""
+    dim, m = data.features.shape[1], data.n_samples
     w, b = _unflatten(x, dim)
-    logits = data.features @ w.reshape(-1, dim).T
+    k, n_classes = w.shape[:2]
+    size = m * k * n_classes
+    if data.scratch.get("size", -1) < size:
+        data.scratch.update(size=size, buffer=np.empty(2 * size),
+                            label_rows=data.labels * m + np.arange(m))
+    logits, by_class = data.scratch["buffer"][:2 * size].reshape(2, size)
+    logits = logits.reshape(m, k * n_classes)
+    np.matmul(data.features, w.reshape(-1, dim).T, out=logits)
     logits += b.reshape(-1)
-    logits = logits.reshape(data.labels.shape + w.shape[:2])
-    return (logits.argmax(axis=-1) == data.labels[:, None]).mean(axis=0)
+    logits = logits.reshape(m, k, n_classes)
+    np.copyto(by_class.reshape(n_classes, m, k), logits.transpose(2, 0, 1))
+    by_class = by_class.reshape(n_classes * m, k)
+    label = by_class[data.scratch["label_rows"]]
+    by_class[data.scratch["label_rows"]] = -np.inf
+    others = by_class.reshape(n_classes, m, k).max(axis=0)
+    hit = label > others
+    decided = hit | (label < others)
+    if not decided.all():
+        hit = np.where(decided, hit,
+                       logits.argmax(axis=-1) == data.labels[:, None])
+    return hit.sum(axis=0) / m

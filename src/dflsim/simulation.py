@@ -121,12 +121,23 @@ class SimulationConfig:
         return self.epsilon * self.epsilon_scale
 
 
+class _Streams(dict):
+    def __init__(self, master: int):
+        super().__init__()
+        self.master = master
+
+    def __missing__(self, name: str) -> np.random.Generator:
+        i = ("graph", "data", "placement", "failures", "test").index(name)
+        return self.setdefault(name, np.random.default_rng(
+            np.random.SeedSequence(self.master, spawn_key=(i,))))
+
+
 def seed_streams(master: int) -> dict[str, np.random.Generator]:
     """Deterministic named substreams so baseline and attacked runs share
-    graph, data, placement, and failure randomness."""
-    children = np.random.SeedSequence(master).spawn(5)
-    names = ("graph", "data", "placement", "failures", "test")
-    return {name: np.random.default_rng(ss) for name, ss in zip(names, children)}
+    graph, data, placement, and failure randomness. Stream i, built on
+    first access, is child i of SeedSequence(master).spawn(5): the one of
+    spawn key (i,)."""
+    return _Streams(master)
 
 
 def build_graph(cfg: SimulationConfig, rng: np.random.Generator) -> Graph:
@@ -260,11 +271,6 @@ class Run:
         self.X, self.Y, self.G = x, y, g
         return (np.isfinite(x).all(axis=(-2, -1))
                 & np.isfinite(y).all(axis=(-2, -1)))
-
-    def consensus_error(self) -> float:
-        """Largest distance of a model from the mean model."""
-        return float(np.max(np.linalg.norm(self.X - self.X.mean(axis=0),
-                                           axis=1)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -158,6 +158,11 @@ def advance_recomputing(run: Run, epoch: int, adv: np.ndarray,
     run.X, run.Y, run.G = x, y, g
 
 
+def consensus_error(run: Run) -> float:
+    """Largest distance of a model of a (n, p) run from the mean model."""
+    return float(np.max(np.linalg.norm(run.X - run.X.mean(axis=0), axis=1)))
+
+
 # ------------------------------- theory ------------------------------- #
 
 def consensus_only_step(x: np.ndarray, g: Graph, alpha: float,

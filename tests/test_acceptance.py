@@ -35,8 +35,8 @@ from dflsim.simulation import (
 )
 from dflsim.sweep import run_experiment
 from dflsim.theory import complexity_probe, default_scenario_grid, verify_lower_bound
-from oracles import (accuracy, cluster_sets, hop_distances, influence_clusters,
-                     train_centralized)
+from oracles import (accuracy, cluster_sets, consensus_error, hop_distances,
+                     influence_clusters, train_centralized)
 
 STRATEGIES = ("random", "eigen", "degree", "maxspan", "maxspan-hop")
 SEEDS = tuple(range(1, 21))
@@ -138,7 +138,7 @@ def test_criterion_1_honest_convergence():
                                seed=seed)
         sim = Simulation(cfg)
         (trace, _), = sim.run()
-        worst_consensus = max(worst_consensus, sim.final[0].consensus_error())
+        worst_consensus = max(worst_consensus, consensus_error(sim.final[0]))
         pooled = Dataset(
             features=np.concatenate([s.features for s in sim.base.shards]),
             labels=np.concatenate([s.labels for s in sim.base.shards]))

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dflsim.learning import (
     Dataset,
     Model,
     PartitionError,
+    batch_accuracy,
     class_means,
     least_per_class,
     loss_and_grad,
@@ -42,7 +45,7 @@ class TestDatasetAndModel:
 
     def test_model_flat_round_trip(self):
         _, model = small_instance()
-        back = Model.from_flat(model.flat(), model.n_classes, model.dim)
+        back = Model.from_flat(model.flat(), *model.weights.shape)
         assert np.array_equal(back.weights, model.weights)
         assert np.array_equal(back.bias, model.bias)
 
@@ -218,3 +221,76 @@ class TestFgsm:
 def test_predict_shape():
     data, model = small_instance()
     assert predict(model, data.features).shape == (data.n_samples,)
+
+
+# Logits made of these parts are exact, so they tie often: in all-zero
+# models, between +0.0 and -0.0, and among infinite biases; a NaN feature
+# or bias gives NaN logits.
+PARTS = st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.0))
+
+
+@st.composite
+def scored_stacks(draw):
+    """Models x (k, p), k = 0 included, and a test set to score them on."""
+    n_classes, dim = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    m, k = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    features = draw(arrays(float, (m, dim), elements=PARTS | st.just(np.nan)))
+    labels = draw(arrays(int, m, elements=st.integers(0, n_classes - 1)))
+    weights = draw(arrays(float, (k, n_classes * dim), elements=PARTS))
+    bias = draw(arrays(float, (k, n_classes), elements=PARTS | st.sampled_from(
+        (np.inf, -np.inf, np.nan))))
+    return np.hstack([weights, bias]), Dataset(features, labels)
+
+
+ALL_ZERO = (np.zeros((3, 12)),
+            Dataset(np.array([[0.5, 1.0, 0.0], [1.0, 0.0, -0.5]]),
+                    np.array([0, 2])))
+# Sample 0 is NaN in every class, so argmax picks class 0, its label;
+# sample 1 ties classes 0 and 1 under model 0, so argmax picks 0, not its
+# label. Counting model 0's right answers over both samples would not
+# tell a kernel that gets both wrong from one that gets both right.
+NAN_AND_TIE = (np.array([[0.5, 0.5, -0.5, 0.0, 0.0, 0.0],
+                         [0.0, 0.0, 0.0, np.nan, 0.0, 0.0]]),
+               Dataset(np.array([[np.nan], [1.0]]), np.array([0, 1])))
+
+
+class TestBatchAccuracy:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(scored_stacks())
+    @example(ALL_ZERO)
+    @example(NAN_AND_TIE)
+    def test_oracle_per_sample_and_model(self, case):
+        x, data = case
+        m, dim = data.features.shape
+        models = [Model.from_flat(row, x.shape[1] // (dim + 1), dim)
+                  for row in x]
+        right = np.array([predict(model, data.features) == data.labels
+                          for model in models]).reshape(len(x), m)
+        # one sample at a time, so that every (sample, model) column is
+        # checked; the one-sample sets share a shape and are used in turn
+        ones = [Dataset(data.features[t:t + 1], data.labels[t:t + 1])
+                for t in range(m)]
+        for _ in range(2):
+            assert [batch_accuracy(x, one).tolist() for one in ones] == \
+                right.T.tolist()
+        assert batch_accuracy(x, data).tolist() == \
+            [accuracy(model, data) for model in models]
+        # fewer models on the same set, in its grown buffer
+        assert batch_accuracy(x[1:], data).tolist() == \
+            [accuracy(model, data) for model in models[1:]]
+
+    def test_allocates_less_than_its_logits(self):
+        # after a warm-up call on a test set, scoring on it allocates less
+        # than one (m, k, C) logits array, which lives in the set's buffer
+        rng = np.random.default_rng(4)
+        data = synth_dataset(10, 20, 20, 0.3, rng)
+        x = 0.1 * rng.standard_normal((20, model_dim(10, 20)))
+        batch_accuracy(x, data)
+        tracemalloc.start()
+        try:
+            batch_accuracy(x, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.n_samples * 20 * 10 * 8

@@ -300,6 +300,21 @@ def outputs(sim):
             final.X.tobytes(), final.Y.tobytes(), final.G.tobytes())
 
 
+@pytest.mark.parametrize("master", [0, 1, 18, 2 ** 40 + 3])
+def test_seed_streams_are_the_spawned_children(master):
+    # each named stream, whatever order it is first read in, draws what
+    # its child of SeedSequence(master).spawn(5) draws; a stream read
+    # twice is one stream
+    names = ("graph", "data", "placement", "failures", "test")
+    children = np.random.SeedSequence(master).spawn(5)
+    streams = seed_streams(master)
+    for name in reversed(names):
+        child = children[names.index(name)]
+        assert streams[name].integers(0, 2 ** 62, size=4).tolist() == \
+            np.random.default_rng(child).integers(0, 2 ** 62, size=4).tolist()
+    assert streams["data"] is streams["data"]
+
+
 class TestAdversaryFreeMemo:
     """One adversary-free run shared by every placement of a network."""
 
