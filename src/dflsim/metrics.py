@@ -1,46 +1,35 @@
 """Attack-impact metrics over accuracy traces."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 
 class MetricError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EpochMetrics:
-    """Average honest-node test accuracy (a fraction in [0, 1]) at one epoch."""
-
-    epoch: int
-    accuracy: float
-    n_honest_alive: int = 0
-
-    def __post_init__(self):
-        if not (0.0 <= self.accuracy <= 1.0):
-            raise MetricError(f"accuracy {self.accuracy} outside [0, 1]")
-
-
-def compute_aal(baseline: list[EpochMetrics], attacked: list[EpochMetrics],
-                t_attack: int) -> float:
+def compute_aal(baseline, attacked, t_attack: int) -> float:
     """Attack accuracy loss: cumulative percentage-point accuracy gap.
 
-    Sums (baseline - attacked) * 100 over epochs t_attack..final, both
-    ends inclusive. Traces are stored as fractions; the conversion to
-    percent happens here.
+    The traces are 1-D arrays (or sequences) of average honest test
+    accuracy, fractions in [0, 1], whose entry e is epoch e. Sums
+    (baseline - attacked) * 100 over epochs t_attack..final, both ends
+    inclusive, in epoch order; the conversion to percent happens here.
     """
-    if len(baseline) != len(attacked):
-        raise MetricError(f"trace length mismatch: {len(baseline)} vs "
-                          f"{len(attacked)}")
-    last = baseline[-1].epoch
+    baseline, attacked = np.asarray(baseline, float), np.asarray(attacked, float)
+    if baseline.ndim != 1 or baseline.shape != attacked.shape:
+        raise MetricError(f"trace shapes {baseline.shape} and {attacked.shape}"
+                          ": expected two 1-D traces of equal length")
+    last = len(baseline) - 1
     if not (0 <= t_attack <= last):
         raise MetricError(f"t_attack {t_attack} outside trace range 0..{last}")
+    both = np.concatenate((baseline, attacked))
+    if not 0.0 <= both.min() <= both.max() <= 1.0:  # NaN fails too
+        bad = both[~((both >= 0.0) & (both <= 1.0))][0]
+        raise MetricError(f"accuracy {bad} outside [0, 1]")
     total = 0.0
-    for b, a in zip(baseline, attacked):
-        if b.epoch != a.epoch:
-            raise MetricError("traces disagree on epoch indexing")
-        if b.epoch >= t_attack:
-            total += (b.accuracy - a.accuracy) * 100.0
+    for b, a in zip(baseline[t_attack:].tolist(), attacked[t_attack:].tolist()):
+        total += (b - a) * 100.0
     return total
 
 

@@ -32,7 +32,6 @@ from .graphs import EmptyGraphError, Graph, GraphFamily, apply_failures
 from .learning import (Dataset, ShardBatch, batch_accuracy, batch_grads,
                        batch_poisoned_grads, model_dim)
 from .learning import loss_and_grad  # unused; perfbench/selftest.py patches it
-from .metrics import EpochMetrics
 from .placement import HoppingParams, place
 
 GRAPH_FAMILIES = ("er", "dg", "pa")
@@ -347,14 +346,6 @@ def run_adversary_free(cfg: SimulationConfig, graph: Graph) -> Baseline:
     return Baseline(shards, test_set, alive, acc, start, end, error)
 
 
-def _metrics(epoch: int, accs: np.ndarray) -> EpochMetrics:
-    """The trace entry of one epoch from the counted nodes' accuracies."""
-    if len(accs) == 0:
-        raise SimulationError("no honest nodes left to measure")
-    return EpochMetrics(epoch=epoch, accuracy=float(np.mean(accs)),
-                        n_honest_alive=len(accs))
-
-
 class Simulation:
     """The placements of one network: configs that differ only in the
     fields the attack reads, each an attacked run scored against the
@@ -400,16 +391,21 @@ class Simulation:
 
     def run(self) -> list:
         """Every epoch 0..epochs of every placement, the attacked runs
-        advanced as one (K, n, p) stack. Returns each placement's
-        (attacked, baseline) traces, or the exception that failed it, and
-        leaves its attacked run's last state in `final`."""
+        advanced as one (K, n, p) stack. Returns each placement's traces as
+        arrays (attacked, baseline, honest), or the exception that failed
+        it: per epoch, the attacked and adversary-free runs' mean accuracy
+        over the honest nodes (a 1-D sum over them divided by their count:
+        np.mean's bits), and that count. Leaves each attacked run's last
+        state in `final`."""
         cfg, base, t = self.cfgs[0], self.base, self.cfgs[0].t_attack
-        errors, attacked = list(self.errors), [[] for _ in self.cfgs]
+        errors = list(self.errors)
+        attacked = [np.empty(cfg.epochs + 1) for _ in self.cfgs]
         self.final = [base.end] * len(self.cfgs)
         stack = [k for k, a in enumerate(self.adversaries)
                  if a is not None and t + 1 < len(base.acc)]
         if stack:
             adv = ~self.counted[stack][:, base.alive]
+            none_left = adv.all(axis=1)
             run = base.start.attacked(
                 adv, [self.cfgs[k].effective_epsilon for k in stack])
             for epoch in range(t + 1, len(base.acc)):
@@ -418,12 +414,13 @@ class Simulation:
                     if errors[k] is None and not finite[row]:
                         errors[k] = SimulationError(
                             f"non-finite model state at epoch {epoch}")
+                    elif errors[k] is None and none_left[row]:
+                        errors[k] = SimulationError(
+                            "no honest nodes left to measure")
                     elif errors[k] is None:
-                        try:
-                            attacked[k].append(_metrics(epoch, batch_accuracy(
-                                run.X[row, ~adv[row]], base.test_set)))
-                        except SimulationError as exc:
-                            errors[k] = exc
+                        accs = batch_accuracy(run.X[row, ~adv[row]],
+                                              base.test_set)
+                        attacked[k][epoch] = accs.sum() / len(accs)
             for row, k in enumerate(stack):
                 self.final[k] = run.take(row)
         # a placement whose attacked trace has honest nodes at every epoch
@@ -435,24 +432,27 @@ class Simulation:
                 results.append(errors[k])
                 self.final[k] = None
                 continue
-            masks = ([counted] * (t + 1)
-                     + [counted & base.alive] * (cfg.epochs - t))
-            baseline = [_metrics(epoch, row[mask]) for epoch, (row, mask)
-                        in enumerate(zip(base.acc, masks))]
-            results.append((baseline[:t + 1] + attacked[k], baseline)
-                           if attacked[k] else (baseline, baseline))
+            after = counted & base.alive
+            honest = np.repeat([counted.sum(), after.sum()],
+                               (t + 1, cfg.epochs - t))
+            baseline = np.array([row.sum() for block in (
+                base.acc[:t + 1, counted], base.acc[t + 1:, after])
+                for row in block]) / honest
+            lead = t + 1 if k in stack else cfg.epochs + 1
+            attacked[k][:lead] = baseline[:lead]
+            results.append((attacked[k], baseline, honest))
         return results
 
 
-def run_simulation(cfg: SimulationConfig,
-                   graph: Optional[Graph] = None
-                   ) -> tuple[list[EpochMetrics], list[EpochMetrics]]:
-    """Run the attacked configuration and its adversary-free twin.
+def run_simulation(cfg: SimulationConfig, graph: Optional[Graph] = None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the attacked configuration and its adversary-free twin; their
+    traces (attacked, baseline, honest) as `Simulation.run` gives them.
 
     Both runs share every seed (graph, data, placement, failures), so the
-    traces agree exactly through the attack epoch. Trace entries cover
-    epochs 0 (initial models) through cfg.epochs; adversaries act, and the
-    failure event fires, from epoch t_attack + 1 onward.
+    traces agree exactly through the attack epoch. Entry e of each array
+    is epoch e, 0 (initial models) through cfg.epochs; adversaries act,
+    and the failure event fires, from epoch t_attack + 1 onward.
     """
     (result,) = Simulation(cfg, graph=graph).run()
     if isinstance(result, Exception):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import multiprocessing
 import os
@@ -92,13 +93,18 @@ def _group_key(cell: SweepCell) -> tuple:
     return (c.strategy, c.graph_family, cell.params_label, c.n, c.n_advs)
 
 
-def _write_trace(path: Path, run_id: str, variant: str, trace) -> None:
+def _write_trace(path: Path, run_id: str, variant: str, accuracy,
+                 honest) -> None:
+    """Write one trace file in one call: the header, then one row per
+    epoch with the accuracy's repr; the bytes csv.writer gives."""
+    buf = io.StringIO()  # run_id and variant, quoted as csv quotes them
+    csv.writer(buf, lineterminator="\n").writerow((run_id, variant))
+    fields = buf.getvalue()[:-1]
+    rows = [",".join(TRACE_COLUMNS) + "\n"]
+    rows += [f"{epoch},{fields},{acc!r},{count}\n" for epoch, (acc, count)
+             in enumerate(zip(accuracy.tolist(), honest.tolist()))]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for entry in trace:
-            writer.writerow([entry.epoch, run_id, variant,
-                             repr(entry.accuracy), entry.n_honest_alive])
+        fh.write("".join(rows))
 
 
 def run_cell(cell: SweepCell, out_dir: str,
@@ -112,12 +118,12 @@ def run_cell(cell: SweepCell, out_dir: str,
         result = network()[run_id]
         if isinstance(result, Exception):
             raise result
-        attacked, baseline = result
+        attacked, baseline, honest = result
         traces = Path(out_dir) / "traces"
         _write_trace(traces / f"{run_id}__attacked.csv", run_id, "attacked",
-                     attacked)
+                     attacked, honest)
         _write_trace(traces / f"{run_id}__baseline.csv", run_id, "baseline",
-                     baseline)
+                     baseline, honest)
         aal = compute_aal(baseline, attacked, cfg.t_attack)
         row = _group_key(cell) + (cfg.seed, repr(aal))
         return CellOutcome(run_id=run_id, summary_row=row)

@@ -9,6 +9,7 @@ one node, one model, one trial or one pair at a time, from the graph's
 `edges` frozenset, or recompute what the program carries over, and
 nothing in `dflsim` calls them.
 """
+import csv
 import math
 from typing import Callable, Iterable, Optional
 
@@ -17,9 +18,11 @@ import numpy as np
 from dflsim.graphs import (ConvergenceError, EmptyGraphError, Graph,
                            GraphError, eigenvector_centrality,
                            graph_from_edges, is_strongly_connected)
-from dflsim.learning import (Dataset, Model, _softmax, batch_grads,
-                             batch_poisoned_grads, loss_and_grad, model_dim)
+from dflsim.learning import (Dataset, Model, _softmax, batch_accuracy,
+                             batch_grads, batch_poisoned_grads, loss_and_grad,
+                             model_dim)
 from dflsim.simulation import Run, SimulationError, _mix
+from dflsim.sweep import TRACE_COLUMNS
 from dflsim.theory import BoundScenario, check_regular_symmetric
 
 
@@ -161,6 +164,67 @@ def advance_recomputing(run: Run, epoch: int, adv: np.ndarray,
 def consensus_error(run: Run) -> float:
     """Largest distance of a model of a (n, p) run from the mean model."""
     return float(np.max(np.linalg.norm(run.X - run.X.mean(axis=0), axis=1)))
+
+
+# ------------------------------- traces ------------------------------- #
+
+def entry_traces(sim) -> list:
+    """The placements' traces of a `Simulation`, built entry by entry:
+    np.mean over a 1-D gather of the counted nodes' accuracies at each
+    epoch, from the adversary-free run's accuracies and, after t_attack,
+    from the attacked stack stepped again. Each is (attacked, baseline,
+    honest) as lists, or the (type, text) of the error that fails the
+    placement: non-finite state before no honest nodes, then the
+    adversary-free run's own error."""
+    cfg, base, t = sim.cfgs[0], sim.base, sim.cfgs[0].t_attack
+    errors = [e and (type(e), str(e)) for e in sim.errors]
+    attacked = [[] for _ in sim.cfgs]
+    stack = [k for k, a in enumerate(sim.adversaries)
+             if a is not None and t + 1 < len(base.acc)]
+    if stack:
+        adv = ~sim.counted[stack][:, base.alive]
+        run = base.start.attacked(
+            adv, [sim.cfgs[k].effective_epsilon for k in stack])
+        for epoch in range(t + 1, len(base.acc)):
+            with np.errstate(all="ignore"):
+                finite = run.advance()
+            for row, k in enumerate(stack):
+                if errors[k] is not None:
+                    continue
+                if not finite[row]:
+                    errors[k] = (SimulationError,
+                                 f"non-finite model state at epoch {epoch}")
+                    continue
+                accs = batch_accuracy(run.X[row, ~adv[row]], base.test_set)
+                if len(accs) == 0:
+                    errors[k] = (SimulationError,
+                                 "no honest nodes left to measure")
+                else:
+                    attacked[k].append(float(np.mean(accs)))
+    results = []
+    for k, counted in enumerate(sim.counted):
+        error = errors[k] or (base.error and (type(base.error),
+                                              str(base.error)))
+        if error:
+            results.append(error)
+            continue
+        masks = [counted] * (t + 1) + [counted & base.alive] * (cfg.epochs - t)
+        baseline = [float(np.mean(row[mask]))
+                    for row, mask in zip(base.acc, masks)]
+        honest = [int(mask.sum()) for mask in masks]
+        results.append((baseline[:t + 1] + attacked[k] if k in stack
+                        else baseline, baseline, honest))
+    return results
+
+
+def csv_trace(path, run_id: str, variant: str, accuracy, honest) -> None:
+    """A trace file written row by row through csv.writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRACE_COLUMNS)
+        for epoch, (acc, count) in enumerate(zip(accuracy, honest)):
+            writer.writerow([epoch, run_id, variant, repr(float(acc)),
+                             int(count)])
 
 
 # ------------------------------- theory ------------------------------- #

@@ -2,12 +2,13 @@ import csv
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dflsim import simulation
 from dflsim.cli import main
 from dflsim.config import parse_config
-from dflsim.metrics import EpochMetrics, compute_aal
+from dflsim.metrics import compute_aal
 from dflsim.plots import (
     PlotError,
     aal_bars_from_summary,
@@ -15,7 +16,9 @@ from dflsim.plots import (
     render_aal_bars,
     render_accuracy_plot,
 )
-from dflsim.sweep import run_experiment
+from dflsim.simulation import SimulationConfig, run_simulation
+from dflsim.sweep import _write_trace, run_experiment
+from oracles import csv_trace
 
 TINY_CONFIG = """
 name: tiny
@@ -84,11 +87,11 @@ class TestRunExperiment:
             run_id = (f"{row['strategy']}_dg0.6_n{row['n']}"
                       f"_adv{row['n_advs']}_eps500_t3_k5_fnone_s{row['seed']}")
             def load(variant):
-                return [EpochMetrics(epoch=int(r["epoch"]),
-                                     accuracy=float(r["avg_honest_test_acc"]),
-                                     n_honest_alive=int(r["n_honest_alive"]))
-                        for r in read_csv(out / "traces"
-                                          / f"{run_id}__{variant}.csv")]
+                rows = read_csv(out / "traces" / f"{run_id}__{variant}.csv")
+                assert [int(r["epoch"]) for r in rows] == \
+                    list(range(len(rows)))
+                assert all(int(r["n_honest_alive"]) > 0 for r in rows)
+                return [float(r["avg_honest_test_acc"]) for r in rows]
             expect = compute_aal(load("baseline"), load("attacked"), 3)
             assert float(row["aal"]) == expect
 
@@ -240,6 +243,34 @@ class TestRunExperiment:
         failures = read_csv(tmp_path / "out" / "failures.csv")
         assert len(failures) == 2
         assert "strongly connected" in failures[0]["error"]
+
+
+def test_trace_files_have_the_bytes_csv_writer_gives(tmp_path):
+    # a run whose honest count drops at t_attack + 1, accuracies whose repr
+    # needs 17 digits, and run_ids that csv quotes; each file against the
+    # same rows written one by one through csv.writer
+    cfg = SimulationConfig(graph_family="dg", graph_param=0.6, n=10,
+                           n_advs=2, epochs=8, t_attack=3, epsilon=400,
+                           classes=5, feature_dim=8, samples_per_node=10,
+                           classes_per_node=5, test_samples=100,
+                           p_node_fail=0.3, seed=4)
+    attacked, baseline, honest = run_simulation(cfg)
+    t = cfg.t_attack
+    assert honest[t + 1] < honest[t] and (attacked != baseline).any()
+    digits = np.array([0.1 + 0.2, 1 / 3, 0.5780000000000001, 1 - 2 ** -53,
+                       1.0, 0.0, 5e-324])
+    assert max(len(repr(a)) for a in digits.tolist()) == len("0.") + 17
+    run_id = "maxspan_dg0.6_n10_adv2_eps400_t3_k5_fhigh_s4"
+    cases = [(run_id, "attacked", attacked, honest),
+             (run_id, "baseline", baseline, honest),
+             (run_id, "attacked", digits, np.arange(7))]
+    cases += [(odd, "baseline", digits, np.arange(7)) for odd in (
+        "a,b", 'say "x"', "line\nbreak", "cr\rhere", " lead", "")]
+    for i, (rid, variant, accuracy, count) in enumerate(cases):
+        _write_trace(tmp_path / f"got{i}.csv", rid, variant, accuracy, count)
+        csv_trace(tmp_path / f"want{i}.csv", rid, variant, accuracy, count)
+        assert (tmp_path / f"got{i}.csv").read_bytes() == \
+            (tmp_path / f"want{i}.csv").read_bytes(), rid
 
 
 class TestPlots:

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dflsim.metrics import EpochMetrics, MetricError, attack_advantage, compute_aal
+from dflsim.metrics import MetricError, attack_advantage, compute_aal
 
 
-def trace(values, start_epoch=0):
-    return [EpochMetrics(epoch=start_epoch + i, accuracy=v)
-            for i, v in enumerate(values)]
+def trace(values):
+    """A trace as the engine gives it: entry e is epoch e's accuracy."""
+    return np.asarray(values, dtype=float)
 
 
 class TestComputeAal:
@@ -38,9 +38,12 @@ class TestComputeAal:
         with pytest.raises(MetricError):
             compute_aal(trace([0.5, 0.5]), trace([0.5]), 0)
 
-    def test_epoch_misalignment(self):
-        with pytest.raises(MetricError):
-            compute_aal(trace([0.5, 0.5]), trace([0.5, 0.5], start_epoch=1), 0)
+    def test_epoch_column_refused(self):
+        # the index is the epoch: a trace that carries its own epoch
+        # column is not one-dimensional
+        epochs = trace([[0, 0.5], [1, 0.5]])
+        with pytest.raises(MetricError, match="1-D traces"):
+            compute_aal(epochs, epochs, 0)
 
     def test_t_attack_out_of_range(self):
         with pytest.raises(MetricError):
@@ -87,15 +90,20 @@ class TestAttackAdvantage:
             attack_advantage(10.0, 0.0)
 
 
-def test_epoch_metrics_accuracy_bounds():
-    with pytest.raises(MetricError):
-        EpochMetrics(epoch=0, accuracy=1.2)
+def test_accuracy_bounds():
+    # every entry of either trace, also before t_attack, is in [0, 1]
+    for bad in (1.2, -0.1, np.nan, np.inf):
+        for side in (0, 1):
+            traces = [trace([0.5, 0.5, 0.5]), trace([0.5, 0.5, 0.5])]
+            traces[side][0] = bad
+            with pytest.raises(MetricError, match=r"outside \[0, 1\]"):
+                compute_aal(*traces, 1)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
-       st.integers(0, 39), st.integers(0, 5))
-def test_aal_of_identical_traces_is_zero(values, t_attack, start_epoch):
-    t = trace(values, start_epoch)
-    t_attack = min(t_attack, t[-1].epoch)
-    assert compute_aal(t, list(t), t_attack) == 0.0
+       st.integers(0, 39))
+def test_aal_of_identical_traces_is_zero(values, t_attack):
+    t = trace(values)
+    t_attack = min(t_attack, len(t) - 1)
+    assert compute_aal(t, t.copy(), t_attack) == 0.0

@@ -139,37 +139,34 @@ class TestAdversaryStep:
 class TestRunSimulation:
     def test_no_adversaries_identity(self):
         cfg = SimulationConfig(n_advs=0, seed=2, **TINY)
-        attacked, baseline = run_simulation(cfg)
-        assert [(m.epoch, m.accuracy, m.n_honest_alive) for m in attacked] == \
-               [(m.epoch, m.accuracy, m.n_honest_alive) for m in baseline]
+        attacked, baseline, honest = run_simulation(cfg)
+        assert attacked.tobytes() == baseline.tobytes()
+        assert honest.tolist() == [cfg.n] * (cfg.epochs + 1)
 
     def test_attack_never_fires_identity(self):
         cfg = SimulationConfig(n_advs=2, epsilon=500, seed=2,
                                **{**TINY, "t_attack": TINY["epochs"]})
-        attacked, baseline = run_simulation(cfg)
-        assert [m.accuracy for m in attacked] == [m.accuracy for m in baseline]
+        attacked, baseline, _ = run_simulation(cfg)
+        assert attacked.tobytes() == baseline.tobytes()
 
     def test_bitwise_determinism(self):
         cfg = SimulationConfig(n_advs=2, epsilon=500, seed=3, **TINY)
-        a1, b1 = run_simulation(cfg)
-        a2, b2 = run_simulation(cfg)
-        assert [m.accuracy for m in a1] == [m.accuracy for m in a2]
-        assert [m.accuracy for m in b1] == [m.accuracy for m in b2]
+        first, again = run_simulation(cfg), run_simulation(cfg)
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in again]
 
     def test_prefix_identity_until_attack(self):
         cfg = SimulationConfig(n_advs=2, epsilon=1000, seed=3, **TINY)
-        attacked, baseline = run_simulation(cfg)
+        attacked, baseline, _ = run_simulation(cfg)
         t = cfg.t_attack
-        assert [m.accuracy for m in attacked[:t + 1]] == \
-               [m.accuracy for m in baseline[:t + 1]]
-        assert any(a.accuracy != b.accuracy
-                   for a, b in zip(attacked[t + 1:], baseline[t + 1:]))
+        assert attacked[:t + 1].tobytes() == baseline[:t + 1].tobytes()
+        assert (attacked[t + 1:] != baseline[t + 1:]).any()
 
     def test_trace_shape(self):
         cfg = SimulationConfig(n_advs=2, seed=1, **TINY)
-        attacked, _ = run_simulation(cfg)
-        assert [m.epoch for m in attacked] == list(range(cfg.epochs + 1))
-        assert all(m.n_honest_alive == cfg.n - cfg.n_advs for m in attacked)
+        traces = run_simulation(cfg)
+        assert [(a.shape, a.dtype.kind) for a in traces] == \
+            [((cfg.epochs + 1,), "f")] * 2 + [((cfg.epochs + 1,), "i")]
+        assert traces[2].tolist() == [cfg.n - cfg.n_advs] * (cfg.epochs + 1)
 
     def test_strong_attack_degrades_accuracy(self):
         cfg = SimulationConfig(graph_family="dg", graph_param=0.6, n=10,
@@ -177,8 +174,8 @@ class TestRunSimulation:
                                t_attack=10, epsilon=1000, classes=5,
                                feature_dim=8, samples_per_node=10,
                                classes_per_node=5, test_samples=100, seed=1)
-        attacked, baseline = run_simulation(cfg)
-        assert attacked[-1].accuracy < baseline[-1].accuracy
+        attacked, baseline, _ = run_simulation(cfg)
+        assert attacked[-1] < baseline[-1]
 
     def test_degradation_direction_over_seeds(self):
         # large attack power lowers the final accuracy on average
@@ -190,8 +187,8 @@ class TestRunSimulation:
                                    feature_dim=8, samples_per_node=10,
                                    classes_per_node=5, test_samples=100,
                                    seed=seed)
-            attacked, baseline = run_simulation(cfg)
-            diffs.append(baseline[-1].accuracy - attacked[-1].accuracy)
+            attacked, baseline, _ = run_simulation(cfg)
+            diffs.append(baseline[-1] - attacked[-1])
         from scipy import stats
 
         assert stats.ttest_1samp(diffs, 0.0,
@@ -229,10 +226,14 @@ class TestRunSimulation:
     def test_failures_reduce_population(self):
         cfg = SimulationConfig(n_advs=2, epsilon=400, seed=4,
                                p_node_fail=0.3, p_link_fail=0.1, **TINY)
-        attacked, baseline = run_simulation(cfg)
-        assert attacked[-1].n_honest_alive < attacked[0].n_honest_alive
-        assert [m.n_honest_alive for m in attacked] == \
-               [m.n_honest_alive for m in baseline]
+        sim = Simulation(cfg)
+        (_, _, honest), = sim.run()
+        assert honest[-1] < honest[0]
+        # both variants count the placement's honest survivors
+        survivors = int((sim.counted[0] & sim.base.alive).sum())
+        t = cfg.t_attack
+        assert honest.tolist() == [cfg.n - cfg.n_advs] * (t + 1) + \
+            [survivors] * (cfg.epochs - t)
 
     def test_total_failure_is_simulation_error(self):
         cfg = SimulationConfig(n_advs=2, p_node_fail=1.0, seed=1, **TINY)
@@ -242,16 +243,16 @@ class TestRunSimulation:
     def test_local_iters_runs_deterministically(self):
         cfg = SimulationConfig(n_advs=2, local_iters=3, epsilon=400, seed=6,
                                **TINY)
-        a1, _ = run_simulation(cfg)
-        a2, _ = run_simulation(cfg)
-        assert [m.accuracy for m in a1] == [m.accuracy for m in a2]
+        a1, _, _ = run_simulation(cfg)
+        a2, _, _ = run_simulation(cfg)
+        assert a1.tobytes() == a2.tobytes()
 
     def test_shared_graph_parameter(self):
         cfg = SimulationConfig(n_advs=2, seed=7, **TINY)
         g = build_graph(cfg, seed_streams(cfg.seed)["graph"])
-        a1, _ = run_simulation(cfg, graph=g)
-        a2, _ = run_simulation(cfg)
-        assert [m.accuracy for m in a1] == [m.accuracy for m in a2]
+        a1, _, _ = run_simulation(cfg, graph=g)
+        a2, _, _ = run_simulation(cfg)
+        assert a1.tobytes() == a2.tobytes()
 
     def test_replica_roles_and_counted_masks(self):
         # the adversary-free run holds every node's accuracy and the state
@@ -268,17 +269,19 @@ class TestRunSimulation:
         assert base.start.X.shape == base.start.Y.shape == (cfg.n, p)
         assert base.start.batch.counts.sum() == \
             sum(s.n_samples for s in base.shards)
-        (attacked, baseline), = sim.run()
-        assert [m.accuracy for m in baseline] == \
+        (attacked, baseline, _), = sim.run()
+        assert baseline.tolist() == \
             [float(np.mean(row[sim.counted[0]])) for row in base.acc]
-        assert attacked[:cfg.t_attack + 1] == baseline[:cfg.t_attack + 1]
+        t = cfg.t_attack
+        assert attacked[:t + 1].tobytes() == baseline[:t + 1].tobytes()
         assert sim.final[0].X.shape == (cfg.n, p)
         # without adversaries the attacked run is the adversary-free run,
         # and both placements share it
         plain = Simulation(SimulationConfig(n_advs=0, seed=8, **TINY),
                            sim.graph, base)
-        (a, b), = plain.run()
-        assert plain.base is base and a == b and plain.counted.all()
+        (a, b, _), = plain.run()
+        assert plain.base is base and a.tobytes() == b.tobytes()
+        assert plain.counted.all()
         assert plain.final == [base.end]
 
     def test_non_finite_state_is_simulation_error(self):
@@ -293,10 +296,9 @@ STRATEGIES = ("random", "eigen", "degree", "maxspan", "maxspan-hop")
 
 def outputs(sim):
     """Both traces, exactly, and the attacked run's final state."""
-    (attacked, baseline), = sim.run()
+    (traces,) = sim.run()
     final, = sim.final
-    return ([(m.epoch, m.accuracy.hex(), m.n_honest_alive) for m in attacked],
-            [(m.epoch, m.accuracy.hex(), m.n_honest_alive) for m in baseline],
+    return ([a.tobytes() for a in traces],
             final.X.tobytes(), final.Y.tobytes(), final.G.tobytes())
 
 

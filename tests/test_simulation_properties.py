@@ -128,7 +128,7 @@ def test_carried_poisoned_gradient_gives_the_recomputed_bits(cfg):
     assume(cfg.n_advs > 0 and cfg.t_attack < cfg.epochs)
     sim = build(cfg)
     try:
-        attacked, _ = traces(sim)
+        attacked, _, _ = traces(sim)
     except SimulationError:  # every node, or every counted node, failed
         reject()
     base = sim.base
@@ -138,7 +138,7 @@ def test_carried_poisoned_gradient_gives_the_recomputed_bits(cfg):
         advance_recomputing(run, epoch, adv, cfg.effective_epsilon)
         accs = batch_accuracy(run.X[~adv], base.test_set)
         trace.append(float(np.mean(accs)).hex())
-    assert [m.accuracy.hex() for m in attacked[cfg.t_attack + 1:]] == trace
+    assert [a.hex() for a in attacked[cfg.t_attack + 1:].tolist()] == trace
     for a in ("X", "Y", "G"):
         assert getattr(sim.final[0], a).tobytes() == \
             getattr(run, a).tobytes(), a
@@ -196,7 +196,7 @@ def test_mixing_rows_are_stochastic_before_and_after_failures(cfg):
 
 
 def hex_trace(trace):
-    return [(m.epoch, m.accuracy.hex(), m.n_honest_alive) for m in trace]
+    return [a.hex() for a in trace.tolist()]
 
 
 @PROPERTY
@@ -206,7 +206,7 @@ def hex_trace(trace):
 def test_twins_agree_through_t_attack_and_reruns_repeat(cfg):
     # two computations, each with its own adversary-free run
     try:
-        attacked, baseline = traces(build(cfg))
+        attacked, baseline, honest = traces(build(cfg))
         again = traces(build(cfg))
     except SimulationError:  # every node, or every counted node, failed
         reject()
@@ -214,5 +214,5 @@ def test_twins_agree_through_t_attack_and_reruns_repeat(cfg):
     assert hex_trace(attacked[:t + 1]) == hex_trace(baseline[:t + 1])
     if cfg.n_advs == 0:
         assert hex_trace(attacked) == hex_trace(baseline)
-    assert (hex_trace(attacked), hex_trace(baseline)) == \
-        tuple(hex_trace(tr) for tr in again)
+    assert (hex_trace(attacked), hex_trace(baseline), honest.tolist()) == \
+        (hex_trace(again[0]), hex_trace(again[1]), again[2].tolist())

@@ -19,7 +19,7 @@ from dflsim.graphs import GenerationError
 from dflsim.metrics import compute_aal
 from dflsim.simulation import Simulation, SimulationConfig
 from dflsim.sweep import run_experiment
-from oracles import oracle_epoch
+from oracles import entry_traces, oracle_epoch
 
 STRATEGIES = ("random", "eigen", "degree", "maxspan", "maxspan-hop")
 PARAMS = {"er": (0.5, 0.7), "dg": (0.6, 0.8), "pa": (1, 2)}
@@ -89,9 +89,8 @@ def outcome(cfg, result, final):
     """A placement's traces, AAL and final models as bytes, or its error."""
     if isinstance(result, Exception):
         return type(result), str(result)
-    attacked, baseline = result
-    trace = [(m.epoch, m.accuracy.hex(), m.n_honest_alive)
-             for tr in result for m in tr]
+    attacked, baseline, honest = result
+    trace = [a.tobytes() for a in result]
     return (trace, compute_aal(baseline, attacked, cfg.t_attack).hex(),
             final.X.tobytes())
 
@@ -110,6 +109,43 @@ def test_each_placement_of_a_stack_has_the_bits_of_its_solo_run(cfgs):
         solo, (alone,) = simulate(cfg)
         assert outcome(cfg, result, final) == \
             outcome(cfg, alone, solo.final[0])
+
+
+# n = 25 at 200 test samples, as in the sweeps: more than 8 counted nodes,
+# where a sum in another order than np.mean's shows in the last bits
+WIDE = key_of(MIXED, n=25, graph_param=0.4, classes=5, classes_per_node=5,
+              samples_per_node=10, test_samples=200, epochs=8, t_attack=3,
+              p_node_fail=0.2)
+
+
+def hex_traces(result):
+    """A placement's traces, entry by entry, as hex and int, or the (type,
+    text) of the error that failed it."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    if len(result) == 2:  # already (type, text)
+        return result
+    attacked, baseline, honest = result
+    assert len(attacked) == len(baseline) == len(honest)
+    return ([float(a).hex() for a in attacked],
+            [float(b).hex() for b in baseline], [int(h) for h in honest])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(keys())
+@example(PINNED[2])
+@example(PINNED[3])
+@example(WIDE)
+def test_trace_entries_have_the_bits_of_np_mean(cfgs):
+    # every entry of both traces against np.mean over a 1-D gather of the
+    # counted nodes' accuracies, epoch by epoch; failures with their text
+    sim, results = simulate(cfgs)
+    for result in results:
+        if not isinstance(result, Exception):
+            assert all(a.dtype == np.float64 for a in result[:2])
+    assert [hex_traces(r) for r in results] == \
+        [hex_traces(r) for r in entry_traces(sim)]
 
 
 @pytest.mark.parametrize("cfgs", PINNED[:4], ids=[
