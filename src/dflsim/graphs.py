@@ -8,12 +8,15 @@ Generator and are deterministic given their seed.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class GraphError(Exception):
@@ -172,80 +175,174 @@ def circulant_graph(n: int, offsets: Iterable[int]) -> Graph:
 
 # ----------------------------- generators ----------------------------- #
 
+# Cells one batch of draws tests at most: a G(n, p) draw has n * n links,
+# a geometric draw n(n - 1)/2 pairs.
+_DRAW_BATCH_CELLS = 1 << 14
+
+
+def _first_connected_draw(rng: np.random.Generator, shape: tuple,
+                          cells: int, max_retries: int, links_for,
+                          symmetric: bool) -> Optional[np.ndarray]:
+    """The first of up to max_retries draws rng.random(shape) whose graph
+    is strongly connected, or None; rng is left as if the draws had been
+    made one at a time, up to that one.
+
+    Draws are made in batches of 1, 2, 4, ... up to cap = _DRAW_BATCH_CELLS
+    // cells, so a draw accepted first time costs one test, in place, into
+    one buffer reused for the whole call. links_for(cap) gives links_of,
+    and links_of(draws) a (k, *shape) batch's links packed a bit per draw
+    (see _strongly_connected); symmetric says that every link goes both
+    ways. A batch that holds the accepted draw before its last is redrawn
+    up to it, from the state before the batch."""
+    cap = min(max(1, _DRAW_BATCH_CELLS // cells), max_retries)
+    links_of = links_for(cap)
+    buf = np.empty((cap, *shape))
+    tried, batch = 0, 1
+    while tried < max_retries:
+        draws = buf[:min(batch, max_retries - tried)]
+        state = rng.bit_generator.state
+        rng.random(out=draws)
+        hit = _first_bit(_strongly_connected(links_of(draws), symmetric))
+        if hit is not None:
+            if hit + 1 < len(draws):
+                rng.bit_generator.state = state
+                rng.random(out=buf[:hit + 1])
+            return buf[hit]
+        tried += len(draws)
+        batch = min(2 * batch, cap)
+    return None
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """A (..., k) boolean array as (..., w) words, entry c at bit c % b of
+    word c // b, in the narrowest unsigned words of b = 8, 16, 32 or 64
+    bits that hold all k (at most 64 a word)."""
+    *lead, k = bits.shape
+    if k == 1:  # bit 0 of one byte: the booleans' own bytes
+        return np.ascontiguousarray(bits).view(np.uint8)
+    size = min(8, 1 << max(0, (k - 1).bit_length() - 3))
+    padded = np.zeros((*lead, -(-k // (8 * size)) * 8 * size), dtype=bool)
+    padded[..., :k] = bits
+    # one flat pack: packing along the last axis costs per row
+    packed = np.packbits(padded, bitorder="little")
+    return packed.view(f"<u{size}").reshape(*lead, -1)
+
+
+def _first_bit(words: np.ndarray) -> Optional[int]:
+    """The index of the lowest set bit of `_pack` words, or None."""
+    nonzero = np.flatnonzero(words)
+    if not len(nonzero):
+        return None
+    word = int(words[nonzero[0]])
+    return (int(nonzero[0]) * 8 * words.itemsize
+            + (word & -word).bit_length() - 1)
+
+
+def _strongly_connected(links: np.ndarray, symmetric: bool) -> np.ndarray:
+    """For (n, n, w) words packing a stack of graphs, bit c of links[i, j]
+    set iff graph c has the link i -> j: the (w,) words of the graphs that
+    are strongly connected. Links from a node to itself change nothing.
+
+    Graphs with a node lacking an out- or an in-link are screened out.
+    The rest are flooded from node 0 at once, a bit each, along out-links
+    and, unless symmetric, along in-links too."""
+    survivors = (np.bitwise_and.reduce(np.bitwise_or.reduce(links, axis=1))
+                 & np.bitwise_and.reduce(np.bitwise_or.reduce(links, axis=0)))
+    reached = _reach_all(links, survivors)
+    if not symmetric:
+        reached &= _reach_all(links.transpose(1, 0, 2), reached)
+    return reached
+
+
+def _reach_all(links: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """The words of the graphs among seeds in which node 0 reaches every
+    node along links, flooded from node 0 until nothing grows."""
+    reach = np.zeros_like(links[0])
+    reach[0] = seeds
+    while True:
+        grown = np.bitwise_or.reduce(reach[:, None] & links, axis=0)
+        grown |= reach
+        if grown.tobytes() == reach.tobytes():
+            return np.bitwise_and.reduce(reach, axis=0)
+        reach = grown
+
+
 def gen_erdos_renyi(n: int, p: float, rng: np.random.Generator, *,
                     max_retries: int = DEFAULT_RETRY_BUDGET) -> Graph:
     """Directed G(n, p): each ordered pair (i, j), i != j, is an edge w.p. p.
 
-    Redraws until the result is strongly connected; raises
-    GenerationError once the retry budget runs out, which signals p is too
-    small for the requested n.
+    Redraws rng.random((n, n)) < p until the result is strongly connected;
+    raises GenerationError once the retry budget runs out, which signals p
+    is too small for the requested n. Draws are tested in batches, by
+    _first_connected_draw.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if not (0.0 < p <= 1.0):
         raise ValueError(f"need 0 < p <= 1, got {p}")
-    for _ in range(max_retries):
-        mask = rng.random((n, n)) < p
-        np.fill_diagonal(mask, False)
-        g = Graph(n=n, arcs=np.argwhere(mask))
-        if is_strongly_connected(g):
-            return g
-    raise GenerationError(
-        f"no strongly connected G({n}, {p}) in {max_retries} draws")
+
+    def links_of(draws):
+        return _pack((draws < p).transpose(1, 2, 0))
+
+    draw = _first_connected_draw(rng, (n, n), n * n, max_retries,
+                                 lambda cap: links_of, symmetric=False)
+    if draw is None:
+        raise GenerationError(
+            f"no strongly connected G({n}, {p}) in {max_retries} draws")
+    mask = draw < p
+    np.fill_diagonal(mask, False)
+    return Graph(n=n, arcs=np.argwhere(mask))
 
 
 def geometric_edges(positions: np.ndarray, r: float) -> np.ndarray:
     """Both directed edges for every pair closer than r in the plane, as a
-    sorted (m, 2) array."""
-    d2 = np.sum((positions[:, None, :] - positions[None, :, :]) ** 2, axis=-1)
-    close = d2 < r * r
+    sorted (m, 2) array: (i, j) where (x_i - x_j)**2 + (y_i - y_j)**2 <
+    r * r."""
+    x, y = positions.T
+    close = (x[:, None] - x) ** 2 + (y[:, None] - y) ** 2 < r * r
     np.fill_diagonal(close, False)
     return np.argwhere(close)
 
 
-_DRAW_BATCH_CELLS = 1 << 14  # position draws per batch times n * n
+def _geometric_links(n: int, r: float, cap: int):
+    """links_of for _first_connected_draw on (k, n, 2) position draws, k <=
+    cap: each draw's radius-r links, packed.
 
+    Each pair of nodes is tested once per draw, with the draws on the
+    contiguous axis: pair (i, i + s mod n) at cyclic offset s = 1..(n-1)/2
+    (for even n, offset n/2 for i < n/2 only), by one subtraction of
+    shifted slices. Its squared distance is (x_i - x_j)**2 +
+    (y_i - y_j)**2, the sum geometric_edges takes (the square of a
+    difference is that of its negation), so each in-radius boolean is its
+    own. Buffers are reused from batch to batch."""
+    h, half = (n - 1) // 2, n // 2 if n % 2 == 0 else 0
+    pairs, nodes = n * (n - 1) // 2, np.arange(n)
+    # pair (left, right): (i, i + s mod n) for each offset s, then (i, i + n/2)
+    left = np.concatenate([np.tile(nodes, h), nodes[:half]])
+    right = (left + np.concatenate([np.repeat(np.arange(1, h + 1), n),
+                                    np.full(half, half)])) % n
+    coords = np.empty((2, 2 * n, cap))  # x and y, each twice over
+    shifted = sliding_window_view(coords[:, 1:], n, axis=1)[:, :h]
+    shifted = shifted.transpose(0, 1, 3, 2)  # [., s - 1, i] = coords[., i + s]
+    d2 = np.empty((2, pairs, cap))
+    cyclic = d2[:, :h * n].reshape(2, h, n, cap)
+    closes = np.empty((pairs, cap), dtype=bool)
 
-def _connected(close: np.ndarray) -> np.ndarray:
-    """For a (k, n, n) stack of symmetric adjacency masks with a true
-    diagonal: whether each graph is connected, by flooding from node 0."""
-    reach = close[:, 0]
-    while True:
-        grown = (reach[:, :, None] & close).any(axis=1)
-        if np.array_equal(grown, reach):
-            return reach.all(axis=1)
-        reach = grown
-
-
-def _first_connected_draw(n: int, r: float, rng: np.random.Generator,
-                          max_retries: int) -> Optional[np.ndarray]:
-    """The first of up to max_retries position draws rng.random((n, 2))
-    whose radius-r graph is connected, or None; rng is left as if the draws
-    had been made one at a time, up to that one.
-
-    Draws are tested in batches. Squared distances are dx**2 + dy**2, the
-    sum geometric_edges takes, so the same draw is accepted as by testing
-    each draw's Graph with is_strongly_connected (the links are symmetric,
-    so connected is strongly connected). A draw with an isolated node is
-    ruled out before the flood. A batch that holds the accepted draw is
-    redrawn up to it, from the state before the batch."""
-    batch = max(1, _DRAW_BATCH_CELLS // (n * n))
-    tried = 0
-    while tried < max_retries:
-        k = min(batch, max_retries - tried)
-        state = rng.bit_generator.state
-        pos = rng.random((k, n, 2))
-        x, y = pos[..., 0], pos[..., 1]
-        close = ((x[:, :, None] - x[:, None, :]) ** 2
-                 + (y[:, :, None] - y[:, None, :]) ** 2) < r * r
-        linked = np.flatnonzero((close.sum(axis=1) > 1).all(axis=1))
-        if len(linked):
-            hits = linked[_connected(close[linked])]
-            if len(hits):
-                rng.bit_generator.state = state
-                return rng.random((hits[0] + 1, n, 2))[-1]
-        tried += k
-    return None
+    def links_of(pos):
+        k = len(pos)
+        t, d, close = coords[..., :k], d2[..., :k], closes[:, :k]
+        np.copyto(t[:, :n], pos.transpose(2, 1, 0))
+        t[:, n:] = t[:, :n]
+        np.subtract(t[:, None, :n], shifted[..., :k], out=cyclic[..., :k])
+        np.subtract(t[:, :half], t[:, half:2 * half], out=d[:, h * n:])
+        np.square(d, out=d)
+        np.less(np.add(d[0], d[1], out=d[0]), r * r, out=close)
+        words = _pack(close)
+        links = np.zeros((n, n, words.shape[1]), dtype=words.dtype)
+        links[left, right] = words
+        links[right, left] = words
+        return links
+    return links_of
 
 
 def gen_directed_geometric(n: int, r: float, rng: np.random.Generator, *,
@@ -253,19 +350,22 @@ def gen_directed_geometric(n: int, r: float, rng: np.random.Generator, *,
     """Geometric graph on uniform points in the unit square, radius r.
 
     In-radius pairs are linked in both directions, giving a symmetric
-    digraph. Positions are redrawn until strongly connected.
+    digraph. Positions rng.random((n, 2)) are redrawn until strongly
+    connected, tested in batches by _first_connected_draw.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if not (0.0 < r <= math.sqrt(2.0)):
         raise ValueError(f"need 0 < r <= sqrt(2), got {r}")
-    pos = _first_connected_draw(n, r, rng, max_retries)
-    if pos is not None:
-        return Graph(n=n, arcs=geometric_edges(pos, r),
-                     positions=tuple((float(x), float(y)) for x, y in pos))
-    raise GenerationError(
-        f"no strongly connected geometric graph (n={n}, r={r}) "
-        f"in {max_retries} draws")
+    pos = _first_connected_draw(rng, (n, 2), n * (n - 1) // 2, max_retries,
+                                lambda cap: _geometric_links(n, r, cap),
+                                symmetric=True)
+    if pos is None:
+        raise GenerationError(
+            f"no strongly connected geometric graph (n={n}, r={r}) "
+            f"in {max_retries} draws")
+    return Graph(n=n, arcs=geometric_edges(pos, r),
+                 positions=tuple((float(x), float(y)) for x, y in pos))
 
 
 def gen_preferential_attachment(n: int, m0: int,
@@ -540,8 +640,18 @@ def graph_from_text(text: str) -> Graph:
 
 
 def save_graph(g: Graph, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(graph_to_text(g))
+    """Write g's text form to path by way of a temporary file beside it and
+    os.replace, so path never holds part of a graph: a write cut short
+    leaves what was there before, or nothing."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(graph_to_text(g))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_graph(path) -> Graph:

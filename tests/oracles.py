@@ -339,6 +339,29 @@ def adjacency_mask(g: Graph) -> np.ndarray:
     return a
 
 
+def er_one_draw_at_a_time(n: int, p: float, rng: np.random.Generator,
+                          max_retries: int) -> Optional[Graph]:
+    """The rejection loop `gen_erdos_renyi` batches: one rng.random((n, n))
+    < p draw at a time, diagonal cleared, each tested on its own Graph.
+    None once max_retries draws were rejected."""
+    for _ in range(max_retries):
+        mask = rng.random((n, n)) < p
+        np.fill_diagonal(mask, False)
+        g = Graph(n=n, arcs=np.argwhere(mask))
+        if is_strongly_connected(g):
+            return g
+    return None
+
+
+def geometric_edges(positions: np.ndarray, r: float) -> np.ndarray:
+    """`geometric_edges` as one sum over the coordinate axis of the
+    squared coordinate differences."""
+    d2 = np.sum((positions[:, None, :] - positions[None, :, :]) ** 2, axis=-1)
+    close = d2 < r * r
+    np.fill_diagonal(close, False)
+    return np.argwhere(close)
+
+
 def graph_text(g: Graph) -> str:
     """The edge-list text form, written from the sorted edge set."""
     lines = [f"n {g.n} directed"]

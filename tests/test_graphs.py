@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dflsim.graphs import (
@@ -26,7 +26,12 @@ from dflsim.graphs import (
     graph_from_text,
     graph_to_text,
     is_strongly_connected,
+    load_graph,
+    save_graph,
 )
+from dflsim.simulation import seed_streams
+import dflsim.graphs
+import oracles
 from oracles import (
     FAMILIES,
     UnreachableError,
@@ -34,6 +39,7 @@ from oracles import (
     cluster_sets,
     complete_graph,
     csr_tuples,
+    er_one_draw_at_a_time,
     hop_distances,
     in_neighbors,
     out_neighbors,
@@ -124,6 +130,29 @@ class TestErdosRenyi:
         with pytest.raises(ValueError):
             gen_erdos_renyi(5, 0.0, np.random.default_rng(0))
 
+    @settings(max_examples=50, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.integers(2, 40),
+           p=st.floats(0.0, 1.0, exclude_min=True),
+           max_retries=st.integers(1, 400),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=12, p=0.2, max_retries=400, seed=1)
+    @example(n=25, p=0.08, max_retries=400, seed=2)
+    @example(n=40, p=0.06, max_retries=400, seed=3)
+    def test_batched_draws_match_one_at_a_time(self, n, p, max_retries,
+                                               seed):
+        # same accepted graph, or GenerationError, and the rng left where
+        # drawing one at a time leaves it
+        ref_rng, rng = (np.random.default_rng(seed) for _ in range(2))
+        ref = er_one_draw_at_a_time(n, p, ref_rng, max_retries)
+        if ref is None:
+            with pytest.raises(GenerationError):
+                gen_erdos_renyi(n, p, rng, max_retries=max_retries)
+        else:
+            g = gen_erdos_renyi(n, p, rng, max_retries=max_retries)
+            assert g == ref
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 class TestDirectedGeometric:
     def test_two_nodes_max_radius(self):
@@ -184,6 +213,50 @@ class TestDirectedGeometric:
                 g = gen_directed_geometric(25, 0.2, rng)
                 assert g.edges == ref.edges and g.positions == ref.positions
             assert rng.random() == ref_rng.random()
+            for _ in range(3):  # G(n, p) on the same rng
+                ref = er_one_draw_at_a_time(12, 0.2, ref_rng, 20_000)
+                assert gen_erdos_renyi(12, 0.2, rng) == ref
+            assert rng.random() == ref_rng.random()
+
+    @settings(max_examples=50, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.integers(2, 40),
+           r=st.floats(0.0, math.sqrt(2), exclude_min=True),
+           max_retries=st.integers(1, 400),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=25, r=0.2, max_retries=400, seed=1)
+    @example(n=40, r=0.2, max_retries=400, seed=2)
+    @example(n=10, r=0.3, max_retries=400, seed=3)
+    def test_batched_draws_match_anywhere(self, n, r, max_retries, seed):
+        ref_rng, rng = (np.random.default_rng(seed) for _ in range(2))
+        ref = self._one_draw_at_a_time(n, r, ref_rng, max_retries)
+        if ref is None:
+            with pytest.raises(GenerationError):
+                gen_directed_geometric(n, r, rng, max_retries=max_retries)
+        else:
+            g = gen_directed_geometric(n, r, rng, max_retries=max_retries)
+            assert g == ref
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    # the draw at which each seed of the acceptance suite's bank (dg,
+    # r = 0.2, n = 25) is accepted, one-based
+    BANK_DRAWS = (274, 775, 1005, 72, 1038, 1720, 1658, 316, 183, 427, 196,
+                  2491, 624, 1070, 55, 735, 893, 1287, 1220, 523)
+
+    def test_bank_draw_counts(self):
+        # the graph stream is left where that many position draws leave it
+        for seed, draws in enumerate(self.BANK_DRAWS, start=1):
+            rng, ref_rng = (seed_streams(seed)["graph"] for _ in range(2))
+            gen_directed_geometric(25, 0.2, rng)
+            ref_rng.random((draws, 25, 2))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_edges_match_the_summed_form(self):
+        for seed in range(20):
+            pos = np.random.default_rng(seed).random((30, 2))
+            for r in (0.05, 0.2, 0.5, math.sqrt(2)):
+                assert np.array_equal(geometric_edges(pos, r),
+                                      oracles.geometric_edges(pos, r))
 
 
 class TestPreferentialAttachment:
@@ -510,6 +583,46 @@ class TestSerialization:
             pass
         for g in graphs:
             assert graph_from_text(graph_to_text(g)) == g
+
+    def test_save_and_load(self, tmp_path):
+        g = gen_directed_geometric(6, 0.8, np.random.default_rng(8))
+        save_graph(g, tmp_path / "g.txt")
+        assert load_graph(tmp_path / "g.txt") == g
+        assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
+
+    def test_interrupted_save_leaves_no_file(self, tmp_path, monkeypatch):
+        # a write cut off halfway, as by a kill: the path holds nothing, or
+        # what it held before, and nothing else is left behind
+        class CutShort:
+            def __init__(self, path, mode):
+                self.fh = open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise KeyboardInterrupt
+
+        old, new = (gen_erdos_renyi(8, 0.5, np.random.default_rng(seed))
+                    for seed in (1, 2))
+        path = tmp_path / "g.txt"
+        monkeypatch.setattr(dflsim.graphs, "open", CutShort, raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            save_graph(new, path)
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        save_graph(old, path)
+        monkeypatch.setattr(dflsim.graphs, "open", CutShort, raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            save_graph(new, path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
+        assert load_graph(path) == old
 
     def test_malformed_inputs(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,15 @@
-"""Centrality, clustering and the placements built on centrality checked
-against networkx, an independent implementation: its sparse eigensolver
-and its triangle counts."""
+"""Centrality, clustering, the placements built on centrality and the
+generators' connectivity test checked against networkx, an independent
+implementation: its sparse eigensolver, its triangle counts and its
+component searches."""
 import numpy as np
 import pytest
 
 from dflsim.graphs import (
     GraphFamily,
+    _first_bit,
+    _pack,
+    _strongly_connected,
     clustering_coefficients,
     eigenvector_centrality,
 )
@@ -100,3 +104,42 @@ def test_clustering(benchmark_pool):
     for g in graphs + [tree(n, seed) for n, seed in TREES[:10]]:
         assert np.abs(clustering_coefficients(g)
                       - networkx_clustering(g)).max() < 1e-15
+
+
+def stack_of_graphs(n, k, symmetric, rng):
+    """k link masks on n nodes near the connectivity threshold, symmetric
+    or not, self-loops included; every third is two dense halves with no
+    link between them, so that no node is isolated and still the graph is
+    not connected."""
+    masks = rng.random((k, n, n)) < rng.uniform(0.3, 2.5, (k, 1, 1)) * max(
+        np.log(n), 1.0) / n
+    halves = np.arange(n) < n // 2
+    masks[::3] &= halves[:, None] == halves[None, :]
+    if symmetric:
+        masks = np.triu(masks)
+        masks |= masks.transpose(0, 2, 1)
+    return masks
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 16, 17, 33, 63, 64, 65])
+@pytest.mark.parametrize("n", [2, 3, 8, 25])
+def test_packed_flood(n, k, symmetric):
+    # a stack packed a bit per graph, in 8-, 16-, 32- or 64-bit words:
+    # each graph's bit is set iff networkx finds it (strongly) connected
+    masks = stack_of_graphs(n, k, symmetric, np.random.default_rng([n, k]))
+    links = _pack(masks.transpose(1, 2, 0))
+    assert links.shape == (n, n, -(-k // 64))
+    assert links.itemsize == {1: 1, 7: 1, 8: 1, 9: 2, 16: 2, 17: 4, 33: 8,
+                              63: 8, 64: 8, 65: 8}[k]
+    words = _strongly_connected(links, symmetric)
+    got = np.unpackbits(words.view(np.uint8), count=k, bitorder="little")
+    want = []
+    for mask in masks:
+        h = (nx.Graph if symmetric else nx.DiGraph)()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(zip(*np.nonzero(mask)))
+        want.append(nx.is_connected(h) if symmetric
+                    else nx.is_strongly_connected(h))
+    assert got.astype(bool).tolist() == want
+    assert _first_bit(words) == (want.index(True) if any(want) else None)
