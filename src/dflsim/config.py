@@ -267,20 +267,11 @@ def _validate(spec: ExperimentSpec, problems: list[str]) -> None:
         problems += [f"{_path(spec, axis)}: unknown {value!r}; expected one "
                      f"of {known}" for value in spec.axis(axis)
                      if value not in known]
-    problems += [f"{_path(spec, 'n')}: {n} is below 2" for n in spec.axis("n")
-                 if n < 2]
     if spec.adversary_count is not None and spec.adversary_count < 1:
         problems.append(f"adversary_count: {spec.adversary_count} is below 1")
     problems += [f"{_path(spec, 'adversary_fraction')}: {frac} outside (0, 1)"
                  for frac in spec.axis("adversary_fraction")
                  if spec.adversary_count is None and not 0 < frac < 1]
-    if spec.epochs < 1:
-        problems.append(f"epochs: {spec.epochs} is below 1")
-    if spec.graph_family == "pa":
-        problems += [f"{_path(spec, 'graph_param')}: pa initial size {param} "
-                     f"outside 1..{n - 1}" for param, n in itertools.product(
-                         spec.axis("graph_param"), spec.axis("n"))
-                     if not 1 <= int(param) < n]
     if not problems:
         # run_ids name the cells' files; the axes at whose positions two
         # cells of one run_id differ are those whose values collide

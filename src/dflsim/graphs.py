@@ -131,30 +131,40 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]],
     return Graph(n=n, arcs=list(edges), positions=positions)
 
 
+def check_family(kind: str, param: float, n: Optional[int] = None) -> None:
+    """Raise ValueError unless kind names a graph family and param is in its
+    range, on n >= 2 nodes when n is given: "er" takes an edge probability
+    0 < p <= 1, "dg" a radius 0 < r <= sqrt(2), and "pa" an initial size
+    m0, an integer in 1..n - 1. The message leads with the argument at
+    fault: `kind: `, `n: ` or `param: `."""
+    if kind == "er":
+        ok, need = 0 < param <= 1, "0 < p <= 1"
+    elif kind == "dg":
+        ok, need = 0 < param <= math.sqrt(2), "0 < r <= sqrt(2)"
+    elif kind == "pa":
+        ok = (float(param).is_integer()
+              and 1 <= param < (math.inf if n is None else n))
+        need = "an integer m0 in 1..n - 1"
+    else:
+        raise ValueError(f"kind: unknown graph family {kind!r}; expected "
+                         "one of ('er', 'dg', 'pa')")
+    if n is not None and n < 2:
+        raise ValueError(f"n: {n} is below 2")
+    if not ok:
+        raise ValueError(f"param: {kind} needs {need}, got {param}"
+                         + ("" if n is None else f" at n = {n}"))
+
+
 @dataclass(frozen=True)
 class GraphFamily:
-    """A random-graph distribution: kind plus its single parameter.
-
-    kinds: "er" (edge probability p), "dg" (connection radius r),
-    "pa" (initial size m0, an integer).
-    """
+    """A random-graph distribution: kind plus its single parameter, in the
+    range `check_family` states."""
 
     kind: str
     param: float
 
     def __post_init__(self):
-        if self.kind == "er":
-            if not (0.0 < self.param <= 1.0):
-                raise ValueError(f"er: need 0 < p <= 1, got {self.param}")
-        elif self.kind == "dg":
-            if not (0.0 < self.param <= math.sqrt(2.0)):
-                raise ValueError(f"dg: need 0 < r <= sqrt(2), got {self.param}")
-        elif self.kind == "pa":
-            if self.param != int(self.param) or self.param < 1:
-                raise ValueError(f"pa: initial size must be a positive "
-                                 f"integer, got {self.param}")
-        else:
-            raise ValueError(f"unknown graph family {self.kind!r}")
+        check_family(self.kind, self.param)
 
     def generate(self, n: int, rng: np.random.Generator) -> Graph:
         if self.kind == "er":
@@ -276,10 +286,7 @@ def gen_erdos_renyi(n: int, p: float, rng: np.random.Generator, *,
     is too small for the requested n. Draws are tested in batches, by
     _first_connected_draw.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"need 0 < p <= 1, got {p}")
+    check_family("er", p, n)
 
     def links_of(draws):
         return _pack((draws < p).transpose(1, 2, 0))
@@ -353,10 +360,7 @@ def gen_directed_geometric(n: int, r: float, rng: np.random.Generator, *,
     digraph. Positions rng.random((n, 2)) are redrawn until strongly
     connected, tested in batches by _first_connected_draw.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not (0.0 < r <= math.sqrt(2.0)):
-        raise ValueError(f"need 0 < r <= sqrt(2), got {r}")
+    check_family("dg", r, n)
     pos = _first_connected_draw(rng, (n, 2), n * (n - 1) // 2, max_retries,
                                 lambda cap: _geometric_links(n, r, cap),
                                 symmetric=True)
@@ -376,10 +380,7 @@ def gen_preferential_attachment(n: int, m0: int,
     proportionally to total degree, in both directions; so the result is
     always strongly connected and is never redrawn.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not (1 <= m0 < n):
-        raise ValueError(f"need 1 <= m0 < n, got m0={m0}, n={n}")
+    check_family("pa", m0, n)
     a = np.zeros((n, n), dtype=bool)
     a[:m0, :m0] = ~np.eye(m0, dtype=bool)
     degree = np.zeros(n)

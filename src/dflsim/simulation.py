@@ -28,17 +28,19 @@ from typing import Optional
 import numpy as np
 
 from . import learning
-from .graphs import EmptyGraphError, Graph, GraphFamily, apply_failures
+from .graphs import (EmptyGraphError, Graph, GraphFamily, apply_failures,
+                     check_family)
 from .learning import (Dataset, ShardBatch, batch_accuracy, batch_grads,
                        batch_poisoned_grads, model_dim)
 from .learning import loss_and_grad  # unused; perfbench/selftest.py patches it
 from .placement import HoppingParams, place
 
-GRAPH_FAMILIES = ("er", "dg", "pa")
 TRACKER_MIXINGS = ("in_self", "literal_out")
 # the least value of each SimulationConfig field that has one
-_LEAST = {"classes": 2, "feature_dim": 1, "samples_per_node": 1,
+_LEAST = {"epochs": 1, "classes": 2, "feature_dim": 1, "samples_per_node": 1,
           "local_iters": 1, "epsilon": 0, "epsilon_scale": 0, "seed": 0}
+# the field that sets each argument of check_family
+_GRAPH_FIELDS = {"kind": "graph_family", "param": "graph_param", "n": "n"}
 
 
 class SimulationError(RuntimeError):
@@ -78,10 +80,12 @@ class SimulationConfig:
         problems = [f"{name}: {getattr(self, name)} is below {least}"
                     for name, least in _LEAST.items()
                     if not getattr(self, name) >= least]
+        try:
+            check_family(self.graph_family, self.graph_param, self.n)
+        except ValueError as exc:
+            arg, _, text = str(exc).partition(": ")
+            problems.append(f"{_GRAPH_FIELDS[arg]}: {text}")
         for name, ok, text in (  # texts are formatted only on failure
-                ("graph_family", self.graph_family in GRAPH_FAMILIES,
-                 "unknown family {graph_family!r}; expected one of "
-                 + str(GRAPH_FAMILIES)),
                 ("n_advs", 0 <= self.n_advs < self.n,
                  "{n_advs} adversaries outside 0..n - 1 (n = {n})"),
                 ("t_attack", 0 <= self.t_attack <= self.epochs,

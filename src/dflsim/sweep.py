@@ -138,13 +138,16 @@ def _run_key(cells: list[SweepCell], out_dir: str,
     cell's `network()` loads the key's graph, computes its adversary-free
     run and advances every cell's placement at once (`Simulation`); each
     `run_cell` then writes its own cell's outputs from the result. If that
-    raises, the next cell tries again. `run_cell` is looked up at call
-    time, so a pool child forked from a process that replaced it runs the
-    replacement."""
+    raises, the exception is every cell's result. `run_cell` is looked up
+    at call time, so a pool child forked from a process that replaced it
+    runs the replacement."""
     @functools.cache
     def network() -> dict:
-        results = Simulation([cell.cfg for cell in cells],
-                             load_graph(graph_path)).run()
+        try:
+            results = Simulation([cell.cfg for cell in cells],
+                                 load_graph(graph_path)).run()
+        except Exception as exc:  # fails the key's cells, once
+            results = [exc] * len(cells)
         return {cell.run_id: r for cell, r in zip(cells, results)}
 
     return [run_cell(cell, out_dir, network) for cell in cells]

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dflsim import simulation
+from dflsim import simulation, sweep
 from dflsim.cli import main
 from dflsim.config import parse_config
 from dflsim.metrics import compute_aal
@@ -19,6 +19,7 @@ from dflsim.plots import (
 from dflsim.simulation import SimulationConfig, run_simulation
 from dflsim.sweep import _write_trace, run_experiment
 from oracles import csv_trace
+from test_config import GRAPH_OUT_OF_RANGE
 
 TINY_CONFIG = """
 name: tiny
@@ -211,6 +212,29 @@ class TestRunExperiment:
         assert [(r["strategy"], r["seed"])
                 for r in read_csv(result.summary_path)] == \
             [("random", "2"), ("maxspan", "2")]
+
+    def test_raising_key_is_computed_once(self, tmp_path, monkeypatch):
+        # a key of 5 cells whose stack raises: each cell fails with the
+        # exception's text, and the stack is built once, not once a cell
+        built = []
+
+        def failing(cfgs, graph):
+            built.append(len(cfgs))
+            raise RuntimeError("no stack")
+
+        monkeypatch.setattr(sweep, "Simulation", failing)
+        config = tmp_path / "key.yaml"
+        config.write_text(TINY_CONFIG.format(out=tmp_path / "out")
+                          .replace("[random, maxspan]",
+                                   "[random, eigen, degree, maxspan, "
+                                   "maxspan-hop]")
+                          .replace("seed: [1, 2]", "seed: [1]"))
+        result = run_experiment(parse_config(config))
+        assert built == [5]
+        assert result.n_failed == 5
+        assert [f["error"] for f in read_csv(tmp_path / "out" /
+                                             "failures.csv")] == \
+            ["RuntimeError: no stack"] * 5
 
     def test_empty_sweep_succeeds(self, tmp_path):
         config = tmp_path / "empty.yaml"
@@ -444,7 +468,8 @@ class TestCliVerbs:
         ("hopping: {decay: .nan}", "hopping.decay"),
         ("data: {classes: 5, classes_per_node: 6}",
          "data.classes_per_node"),
-        ("sweep: {t_attack: [5, 99]}", "sweep.t_attack")])
+        ("sweep: {t_attack: [5, 99]}", "sweep.t_attack"),
+        *GRAPH_OUT_OF_RANGE])
     def test_run_bad_value_exit_2_naming_its_path(self, tmp_path, capsys,
                                                   line, path):
         config = tmp_path / "bad.yaml"

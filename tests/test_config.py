@@ -25,6 +25,24 @@ def parse(text: str) -> ExperimentSpec:
     return parse_config_data(yaml.safe_load(text))
 
 
+def _graph_out_of_range() -> list[tuple[str, str]]:
+    """Config lines that set a graph parameter out of its family's range,
+    each as a base key and as one value of a sweep axis beside a valid
+    one, with the YAML path the error must name (n is 25 by default)."""
+    cases = [("er", "param", bad, 0.3) for bad in (0, 1.5)]
+    cases += [("dg", "param", bad, 0.5) for bad in (0, 2.0)]
+    cases += [("pa", "param", bad, 2) for bad in (0, 1.5, 25)]
+    cases += [("dg", "n", 1, 10)]
+    axes = {"param": "graph_param", "n": "n"}
+    return [line for family, key, bad, good in cases for line in (
+        (f"graph: {{family: {family}, {key}: {bad}}}", f"graph.{key}"),
+        (f"graph: {{family: {family}}}\n"
+         f"sweep: {{{axes[key]}: [{good}, {bad}]}}", f"sweep.{axes[key]}"))]
+
+
+GRAPH_OUT_OF_RANGE = _graph_out_of_range()
+
+
 class TestParsing:
     def test_minimal_config_gets_defaults(self):
         spec = parse("""
@@ -131,6 +149,12 @@ class TestParsing:
     def test_ill_typed_values_rejected(self, text):
         with pytest.raises(ConfigError):
             parse(text)
+
+    @pytest.mark.parametrize("line,path", GRAPH_OUT_OF_RANGE)
+    def test_out_of_range_graph_names_its_path(self, line, path):
+        with pytest.raises(ConfigError) as err:
+            parse(line)
+        assert f"\n  - {path}: " in str(err.value)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -29,7 +29,7 @@ from dflsim.graphs import (
     load_graph,
     save_graph,
 )
-from dflsim.simulation import seed_streams
+from dflsim.simulation import SimulationConfig, seed_streams
 import dflsim.graphs
 import oracles
 from oracles import (
@@ -661,3 +661,32 @@ class TestGraphFamily:
         for kind, param in (("er", 0.4), ("dg", 0.6), ("pa", 2)):
             g = GraphFamily(kind, param).generate(10, rng)
             assert g.n == 10 and is_strongly_connected(g)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(kind=st.sampled_from(("er", "dg", "pa", "ring")),
+           param=st.floats(-0.5, 2.5) | st.integers(-1, 10).map(float),
+           n=st.integers(-1, 9))
+    @example(kind="dg", param=math.sqrt(2), n=2)
+    @example(kind="dg", param=math.nextafter(math.sqrt(2), 2), n=2)
+    @example(kind="er", param=math.nextafter(0, 1), n=3)
+    @example(kind="pa", param=4.0, n=5)
+    @example(kind="pa", param=5.0, n=5)
+    @example(kind="er", param=0.01, n=9)  # out of draws
+    def test_config_accepts_what_generation_accepts(self, kind, param, n):
+        # SimulationConfig takes (family, param, n) exactly when generation
+        # raises no ValueError; running out of draws is not a range error
+        try:
+            SimulationConfig(graph_family=kind, graph_param=param, n=n,
+                             n_advs=0)
+            accepted = True
+        except ValueError:
+            accepted = False
+        try:
+            GraphFamily(kind, param).generate(n, np.random.default_rng(0))
+            generated = True
+        except GenerationError:
+            generated = True
+        except ValueError:
+            generated = False
+        assert accepted == generated
