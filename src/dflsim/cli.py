@@ -17,10 +17,11 @@ import numpy as np
 import yaml
 
 from .config import ConfigError, coerce, parse_config
+from .graphs import check_family
 from .plots import PlotError, plot_csv
 from .presets import PRESETS
 from .sweep import resolve_workers, run_experiment
-from .theory import (AssumptionError, BoundResult, complexity_probe,
+from .theory import (PROBE_P, AssumptionError, BoundResult, complexity_probe,
                      default_scenario_grid, verify_lower_bound)
 
 EXIT_OK = 0
@@ -158,14 +159,19 @@ def _cmd_verify_lemma(args) -> int:
 
 def _cmd_complexity_probe(args) -> int:
     problem = None
-    if any(n < 2 for n in args.sizes):
-        problem = f"--sizes: every size must be at least 2, got {args.sizes}"
-    elif args.sizes != sorted(args.sizes):
-        problem = f"--sizes must be ascending, got {args.sizes}"
-    elif args.repeats < 1:
-        problem = f"--repeats must be at least 1, got {args.repeats}"
-    elif not 0 < args.fraction <= 1:  # nan too
-        problem = f"--fraction must be in (0, 1], got {args.fraction}"
+    for n in args.sizes:  # the probe's graphs are Erdős–Rényi
+        try:
+            check_family("er", PROBE_P, n)
+        except ValueError as exc:
+            problem = "--sizes: " + str(exc).partition(": ")[2]
+            break
+    else:
+        if args.sizes != sorted(args.sizes):
+            problem = f"--sizes must be ascending, got {args.sizes}"
+        elif args.repeats < 1:
+            problem = f"--repeats must be at least 1, got {args.repeats}"
+        elif not 0 < args.fraction <= 1:  # nan too
+            problem = f"--fraction must be in (0, 1], got {args.fraction}"
     if problem:
         print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG

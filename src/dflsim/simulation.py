@@ -80,13 +80,15 @@ class SimulationConfig:
         problems = [f"{name}: {getattr(self, name)} is below {least}"
                     for name, least in _LEAST.items()
                     if not getattr(self, name) >= least]
+        n_rejected = False  # if so, the rules that read n would echo it
         try:
             check_family(self.graph_family, self.graph_param, self.n)
         except ValueError as exc:
             arg, _, text = str(exc).partition(": ")
             problems.append(f"{_GRAPH_FIELDS[arg]}: {text}")
+            n_rejected = arg == "n"
         for name, ok, text in (  # texts are formatted only on failure
-                ("n_advs", 0 <= self.n_advs < self.n,
+                ("n_advs", n_rejected or 0 <= self.n_advs < self.n,
                  "{n_advs} adversaries outside 0..n - 1 (n = {n})"),
                 ("t_attack", 0 <= self.t_attack <= self.epochs,
                  "{t_attack} outside 0..{epochs} (epochs)"),

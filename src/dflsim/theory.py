@@ -145,9 +145,16 @@ class BoundResult:
         return self.unbound_steps == 0
 
 
-# trials stepped together; blocks keep the stacks to tens of kB on the
-# default grid however many trials run
-_BLOCK = 25
+# bytes of the largest per-step temporary, the minibatch gather of a block
+# of trials; the default grid's 200 trials take 250 kB and run as one block
+_BLOCK_BYTES = 256 * 1024
+
+
+def _block_trials(scenario: BoundScenario) -> int:
+    """Trials stepped together: as many as keep the gather's
+    (sample, trial, node, dim) doubles within _BLOCK_BYTES, and at least 1."""
+    per_trial = scenario.batch_size * scenario.graph.n * scenario.dim * 8
+    return max(1, _BLOCK_BYTES // per_trial)
 
 
 def _bound_trials(scenario: BoundScenario, trials: int,
@@ -157,10 +164,11 @@ def _bound_trials(scenario: BoundScenario, trials: int,
     the number of adversary steps at which the floor did not bind (some
     coordinate of the attacked gradient already above delta).
 
-    Blocks of trials advance together as (run, trial, node, dim) stacks,
-    run 0 attacked and run 1 its honest twin. Each trial draws its
-    minibatches in one call, trial by trial, and every number is summed
-    in the order, and so to the bits, of stepping one trial at a time.
+    Blocks of trials (all of them unless their gather would pass
+    _BLOCK_BYTES) advance together as (run, trial, node, dim) stacks, run 0
+    attacked and run 1 its honest twin. Each trial draws its minibatches in
+    one call, trial by trial, and every number is summed in the order, and
+    so to the bits, of stepping one trial at a time.
     """
     g = scenario.graph
     n, p, steps = g.n, scenario.dim, scenario.horizon + 1
@@ -171,8 +179,8 @@ def _bound_trials(scenario: BoundScenario, trials: int,
     v_adv, v_hon = v[adv, None], v[hon, None]
     # node i's targets are rows i * n_samples.. of one (row, dim) table
     targets = scenario.targets().reshape(-1, p)
-    first_row = np.arange(n)[:, None] * scenario.n_samples
     row_type = np.min_scalar_type(len(targets) - 1)
+    first_row = (np.arange(n) * scenario.n_samples).astype(row_type)[:, None]
     # np.mean sums one trial's (node, sample, dim) gather pairwise over
     # the samples when dim is 1 (they are then its inner loop), else one
     # sample after another; stacked, the samples go where they get the
@@ -181,34 +189,35 @@ def _bound_trials(scenario: BoundScenario, trials: int,
     order = (0, 1, 2) if p == 1 else (2, 0, 1)  # of the table's axes
     alpha, delta = scenario.alpha, scenario.delta_min
     draw = (steps, n, scenario.batch_size)
+    size = _block_trials(scenario)
 
     lhs = np.empty(trials)
     adv_term = np.empty(trials)
     hon_term = np.empty(trials)
     unbound = np.zeros(trials, dtype=int)
-    table = np.empty((steps, min(trials, _BLOCK)) + draw[1:], dtype=row_type)
-    for lo in range(0, trials, _BLOCK):
-        block = slice(lo, min(lo + _BLOCK, trials))
+    table = np.empty((steps, min(trials, size)) + draw[1:], dtype=row_type)
+    for lo in range(0, trials, size):
+        block = slice(lo, min(lo + size, trials))
         b = block.stop - lo
         rows = table[:, :b]  # (step, trial, node, sample) target rows
         for t in range(b):
-            rows[:, t] = (rng.integers(0, scenario.n_samples, size=draw)
-                          + first_row)
+            rows[:, t] = rng.integers(0, scenario.n_samples, size=draw)
+        rows += first_row
         x = np.zeros((2, b, n, p))
         s_adv = np.zeros((b, p))
         s_hon = np.zeros((b, p))
         for step in range(steps):
             grads = x - targets.take(rows[step].transpose(order),
                                      axis=0).mean(axis=sample_axis)
-            g_att, g_hon = grads
-            # `take` keeps node-major layouts, so each sum over nodes runs
-            # in one trial's order (`g[:, nodes]` would put nodes first)
-            g_adv = g_att.take(adv, axis=1)  # before the floor
-            unbound[block] += (g_adv > delta).any(axis=-1).sum(axis=-1)
-            g_att[:, adv] = np.maximum(g_adv, delta)
-            s_adv += (v_adv * (delta - g_hon.take(adv, axis=1))).sum(axis=1)
-            s_hon += (v_hon * (g_att.take(hon, axis=1)
-                               - g_hon.take(hon, axis=1))).sum(axis=1)
+            # both runs' adversary rows (a_*) and honest rows (h_*): `take`
+            # keeps node-major layouts, so each sum over nodes runs in one
+            # trial's order (`grads[:, :, nodes]` would put nodes first)
+            a_att, a_hon = grads.take(adv, axis=2)  # before the floor
+            unbound[block] += (a_att > delta).any(axis=-1).sum(axis=-1)
+            grads[0][:, adv] = np.maximum(a_att, delta)
+            h_att, h_hon = grads.take(hon, axis=2)
+            s_adv += (v_adv * (delta - a_hon)).sum(axis=1)
+            s_hon += (v_hon * (h_att - h_hon)).sum(axis=1)
             x = m @ x - alpha * grads
         lhs[block] = ((x[0] - x[1]) ** 2).reshape(b, -1).sum(axis=1)
         adv_term[block] = alpha ** 2 * (s_adv ** 2).sum(axis=1)
@@ -288,8 +297,11 @@ class TimingReport:
     loglog_slope: float
 
 
+PROBE_P = 0.2  # the probe's default Erdős–Rényi edge probability
+
+
 def complexity_probe(sizes: Sequence[int], n_adv_fraction: float = 0.1,
-                     repeats: int = 5, p: float = 0.2,
+                     repeats: int = 5, p: float = PROBE_P,
                      seed: int = 0) -> TimingReport:
     """Median wall time of the greedy placement per graph size, with the
     fitted log-log slope across sizes."""

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -34,6 +35,14 @@ sweep:
   strategy: [random, maxspan]
   seed: [1, 2]
 """
+
+
+# sha256 of the default-grid `verify-lemma` CSV. Other numpy or BLAS builds
+# may sum to other bits, so a mismatch there need not be a fault.
+LEMMA_CSV_SHA256 = ("b64fc0fcb83f50ba2f14ff94fa13e1b5"
+                    "166f25d9459fee9d5b863d9fd212a32e")
+LEMMA_CSV_LIBS = ("with numpy 2.4.6 on OpenBLAS 0.3.31.188.0 (scipy-openblas, "
+                  "DYNAMIC_ARCH) running its SkylakeX kernel")
 
 
 SHARED_CONFIG = """
@@ -481,6 +490,14 @@ class TestCliVerbs:
         assert f"\n  - {path}: " in err
         assert not (tmp_path / "out").exists()
 
+    def test_run_one_node_exit_2_naming_only_graph_n(self, tmp_path, capsys):
+        config = tmp_path / "bad.yaml"
+        config.write_text(f"name: bad\noutput_dir: {tmp_path / 'out'}\n"
+                          "graph: {n: 1}\n")
+        assert main(["run", str(config)]) == 2
+        assert capsys.readouterr().err == ("config error: invalid config:\n"
+                                           "  - graph.n: 1 is below 2\n")
+
     def test_run_bad_config_exit_2(self, tmp_path):
         config = tmp_path / "bad.yaml"
         config.write_text("name: bad\nstrategy: nope\n")
@@ -512,6 +529,17 @@ class TestCliVerbs:
         assert all(r["pass"] == "true" for r in rows)
         assert all(r["rt_pass"] == "true" for r in rows)
         assert all(r["unbound_steps"] == "0" for r in rows)
+
+    def test_verify_lemma_default_grid_csv_is_pinned(self, tmp_path):
+        # the default grid at 200 trials and rng_seed 0; the stated form
+        # fails there, so the exit code is 1
+        report = tmp_path / "report.csv"
+        assert main(["verify-lemma", "-o", str(report)]) == 1
+        digest = hashlib.sha256(report.read_bytes()).hexdigest()
+        assert digest == LEMMA_CSV_SHA256, (
+            "the default-grid verify-lemma CSV changed; its hash was "
+            f"recorded {LEMMA_CSV_LIBS}, and this run has numpy "
+            f"{np.__version__}")
 
     def test_verify_lemma_never_binding_floor_is_out_of_hypothesis(
             self, tmp_path, capsys):
@@ -559,6 +587,14 @@ class TestCliVerbs:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("sizes", [["1"], ["40", "1"], ["0", "40"]])
+    def test_complexity_probe_names_the_first_size_check_family_rejects(
+            self, capsys, sizes):
+        assert main(["complexity-probe", "--sizes", *sizes]) == 2
+        bad = next(n for n in sizes if int(n) < 2)
+        assert capsys.readouterr().err == \
+            f"config error: --sizes: {bad} is below 2\n"
 
     def test_presets_list(self, capsys):
         assert main(["presets", "list"]) == 0

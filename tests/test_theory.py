@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dflsim import theory
 from dflsim.graphs import (
     circulant_graph,
     eigenvector_centrality,
@@ -11,6 +14,7 @@ from dflsim.graphs import (
 from dflsim.theory import (
     AssumptionError,
     BoundScenario,
+    _block_trials,
     _bound_trials,
     check_regular_symmetric,
     complexity_probe,
@@ -201,15 +205,18 @@ def bound_cases(draw):
     return scenario, draw(st.integers(1, 60)), draw(st.integers(0, 2 ** 32))
 
 
-def _case(advs, trials, n=8, offsets=(1, 4), **kw):
-    return (BoundScenario(graph=circulant_graph(n, offsets), adversaries=advs,
-                          **{"delta_min": 1.0, "horizon": 6, **kw}), trials, 0)
+def _case(advs, trials=0, blocks=0.0, n=8, offsets=(1, 4), **kw):
+    """A scenario, `trials` trials plus `blocks` of its blocks, and seed 0."""
+    scenario = BoundScenario(graph=circulant_graph(n, offsets),
+                             adversaries=advs,
+                             **{"delta_min": 1.0, "horizon": 6, **kw})
+    return scenario, trials + int(blocks * _block_trials(scenario)), 0
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(bound_cases())
-@example(_case((0, 1, 2), 60))  # the default grid's graph, 2.4 blocks
-@example(_case((), 26))  # no adversaries, one trial past a block
+@example(_case((0, 1, 2), blocks=2.4))  # the default grid's graph
+@example(_case((), 1, blocks=1))  # no adversaries, one trial past a block
 @example(_case((0, 1), 50, delta_min=-50.0))  # a floor that never binds
 # dim 1, 8 adversaries and 14-sample batches: sums numpy adds pairwise
 @example(_case(tuple(range(8)), 30, n=10, offsets=(1, 2, 3, 4, 5), dim=1,
@@ -223,6 +230,36 @@ def test_stacked_trials_give_the_per_trial_bits(case):
                           got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_block_size_changes_no_bits(monkeypatch):
+    # blocks of 1 and 7 trials, and of all 30 at the default budget, give
+    # the bits and the generator state of stepping one trial at a time
+    scenario = default_scenario_grid()[4]
+    want_rng = np.random.default_rng(5)
+    want = bound_trials(scenario, 30, want_rng)
+    gather = scenario.batch_size * scenario.graph.n * scenario.dim * 8
+    budgets = {1: gather + 7, 7: 7 * gather + 7, 30: theory._BLOCK_BYTES}
+    for size, budget in budgets.items():
+        monkeypatch.setattr(theory, "_BLOCK_BYTES", budget)
+        assert min(_block_trials(scenario), 30) == size
+        rng = np.random.default_rng(5)
+        got = _bound_trials(scenario, 30, rng)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), size
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_many_trials_stay_within_a_fixed_peak():
+    # one block of 5000 trials would gather 6.4 MB per step (22 MB peak)
+    scenario = default_scenario_grid()[4]
+    tracemalloc.start()
+    try:
+        _bound_trials(scenario, 5000, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 class TestComplexityProbe:
